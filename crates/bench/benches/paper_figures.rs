@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_sim::ArchConfig;
-use tangram::select::select_best;
+use tangram::Session;
 use tangram_bench::{measure_cub, measure_kokkos};
 
 const SIZES: [u64; 4] = [1_024, 65_536, 1 << 20, 16 << 20];
@@ -22,10 +22,11 @@ fn bench_arch(c: &mut Criterion, arch: &ArchConfig, figure: &str) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(100))
         .measurement_time(Duration::from_millis(200));
+    let session = Session::new(arch.clone());
     for &n in &SIZES {
         // Selection and measurement happen once; criterion replays the
         // modelled duration.
-        let (_tuned, row) = select_best(arch, n).expect("selection");
+        let row = session.select_best(n).expect("selection").row;
         let tangram_ns = row.time_ns;
         let cub_ns = measure_cub(arch, n).expect("cub");
         let kokkos_ns = measure_kokkos(arch, n).expect("kokkos");

@@ -8,10 +8,10 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gpu_baselines::CubReduce;
 use gpu_sim::exec::BlockSelection;
 use gpu_sim::{ArchConfig, Device, ExecMode};
-use tangram::evaluate::{evaluate_all, ContextPool, EvalOptions};
+use tangram::evaluate::EvalOptions;
 use tangram::tangram_codegen::{synthesize, Tuning};
 use tangram::tangram_passes::planner;
-use tangram::{run_reduction, upload};
+use tangram::{run_reduction, upload, Session};
 
 fn interpreter_throughput(c: &mut Criterion) {
     let n: u64 = 65_536;
@@ -140,14 +140,12 @@ fn jit(c: &mut Criterion) {
 fn tuner_sweep(c: &mut Criterion) {
     let n: u64 = 1 << 20;
     let arch = ArchConfig::maxwell_gtx980();
-    let candidates = planner::enumerate_pruned();
     let mut group = c.benchmark_group("tuner-sweep");
     group.sample_size(10).measurement_time(Duration::from_secs(5));
     for threads in [1usize, 4] {
-        let opts = EvalOptions::with_threads(threads);
+        let session = Session::new(arch.clone()).eval(EvalOptions::with_threads(threads));
         group.bench_function(format!("pruned/1M/threads-{threads}"), |b| {
-            let pool = ContextPool::new(&arch, n);
-            b.iter(|| black_box(evaluate_all(&pool, &candidates, &opts).unwrap()))
+            b.iter(|| black_box(session.select_best(n).unwrap()))
         });
     }
     group.finish();

@@ -13,12 +13,13 @@
 //! bit-identical for any T; only the wall-clock changes. `--json`
 //! appends one record per repeat to `PATH` (JSON lines).
 //!
-//! `--workload W` tunes a typed workload (`argmax`, `hist256`, …)
-//! instead of the classic `sum-f32` sweep. Non-sum winner lines carry
-//! a `workload=` token after `n=`; `--workload sum` (and no flag at
-//! all) prints the byte-identical legacy line. The oracle-validated
-//! winner tail (`winner=… block=… coarsen=… time_ns=…`) matches the
-//! `tuned` daemon's answer for the same query byte for byte.
+//! `--workload W` tunes a typed workload (`argmax`, `hist256`,
+//! `scan`, `segsum`, …) instead of the classic `sum-f32` sweep; every
+//! key runs through the same engine, so every flag below applies to
+//! every key. Non-sum winner lines carry a `workload=` token after
+//! `n=`; `--workload sum` is exactly no flag. The winner tail
+//! (`winner=… block=… coarsen=… time_ns=…`) matches the `tuned`
+//! daemon's answer for the same query byte for byte.
 //!
 //! `--sweep-mode` selects the search strategy (default: `halving`,
 //! the successive-halving sweep; `exhaustive` measures every job at
@@ -89,8 +90,9 @@ const USAGE: &str = "usage: sweep [--n N] [--arch kepler|maxwell|pascal] [--work
 
   --n N              array size in elements (default 4194304)
   --arch ID          architecture: kepler|maxwell|pascal (default maxwell)
-  --workload W       sum | max | min | argmax | argmin | hist<bins>
-                     (default sum; non-sum lines carry a workload= token)
+  --workload W       sum | max | min | argmax | argmin | hist<bins> | scan |
+                     exscan | segsum (default sum; non-sum lines carry a
+                     workload= token)
   --repeat R         repeat the sweep R times (default 1)
   --threads T        evaluation worker threads (default: available parallelism)
   --sweep-mode M     exhaustive | halving (default halving); winners are
@@ -151,15 +153,12 @@ fn main() {
         CLI.die(&format!("unknown arch id `{arch_id}` (expected kepler|maxwell|pascal)"));
     };
     let wkey = o.workload.unwrap_or_else(WorkloadKey::sum);
-    // The classic `sum-f32` path stays byte-identical: no workload
-    // token on its lines, and `--workload sum` is exactly no flag.
-    let legacy = wkey == WorkloadKey::sum();
-    if !legacy && (o.profiling() || o.fault_seed.is_some()) {
-        CLI.die(
-            "--profile/--trace-out/--metrics-json/--fault-seed only apply to the \
-             sum sweep (workload sweeps do not profile winners yet)",
-        );
-    }
+    // `sum-f32` lines carry no workload token (and `--workload sum` is
+    // exactly no flag); every other key's lines name it after `n=`.
+    let named = (wkey != WorkloadKey::sum()).then(|| wkey.id());
+    let workload_token = named.as_ref().map_or_else(String::new, |id| format!(" workload={id}"));
+    let workload_field =
+        named.as_ref().map_or_else(String::new, |id| format!("\"workload\":\"{id}\","));
     let opts = o.eval_options(SweepMode::Halving, gpu_sim::ExecMode::Compiled);
     let (threads, mode_id, interp_id) = (opts.threads, opts.sweep.id(), opts.interp.id());
     let mut session = Session::new(arch.clone())
@@ -180,18 +179,48 @@ fn main() {
     let mut last_races = None;
     let mut hazards = 0u64;
     for _ in 0..repeat {
-        if !legacy {
-            let start = Instant::now();
-            let report = match session.run(&Workload::new(wkey, n)) {
-                Ok(report) => report,
-                Err(e) => CLI.die(&format!("sweep failed: {e}")),
-            };
-            let wall = start.elapsed();
-            println!(
-                "sweep arch={} n={} workload={} threads={} mode={} interp={} wall_ms={:.1} winner={} block={} coarsen={} time_ns={}",
+        let start = Instant::now();
+        let report = match session.run(&Workload::new(wkey, n)) {
+            Ok(report) => report,
+            Err(e) => CLI.die(&format!("sweep failed: {e}")),
+        };
+        let wall = start.elapsed();
+        println!(
+            "sweep arch={} n={}{} threads={} mode={} interp={} wall_ms={:.1} winner={} block={} coarsen={} time_ns={}",
+            arch.id,
+            n,
+            workload_token,
+            threads,
+            mode_id,
+            interp_id,
+            wall.as_secs_f64() * 1e3,
+            report.winner_id(),
+            report.block_size(),
+            report.coarsen(),
+            report.time_ns()
+        );
+        if o.fault_seed.is_some() {
+            println!("{}", report.metrics().resilience.summary_line());
+        }
+        if let Some(profile) = report.metrics().winner_profile.as_ref() {
+            println!("{}", profile_summary_line(profile));
+        }
+        if let Some(s) = report.metrics().sanitize {
+            println!("{}", sanitize_summary_line(&s));
+            hazards += s.findings as u64;
+        }
+        if let Some(s) = report.metrics().store.as_ref() {
+            println!("{}", cache_summary_line(s));
+        }
+        if let Some(races) = report.races() {
+            last_races = Some(races.to_vec());
+        }
+        if let Some(path) = &o.json {
+            let record = format!(
+                "{{\"arch\":\"{}\",\"n\":{},{}\"threads\":{},\"mode\":\"{}\",\"interp\":\"{}\",\"wall_ms\":{:.3},\"winner\":\"{}\",\"block\":{},\"coarsen\":{},\"time_ns\":{}}}\n",
                 arch.id,
                 n,
-                wkey.id(),
+                workload_field,
                 threads,
                 mode_id,
                 interp_id,
@@ -201,99 +230,12 @@ fn main() {
                 report.coarsen(),
                 report.time_ns()
             );
-            let (san, store_line, races) = match &report {
-                tangram::RunReport::Reduce(rep) => {
-                    (rep.metrics.sanitize, rep.metrics.store.clone(), rep.races.clone())
-                }
-                tangram::RunReport::Workload(rep) => {
-                    (rep.metrics.sanitize, rep.metrics.store.clone(), rep.races.clone())
-                }
-            };
-            if let Some(s) = &san {
-                println!("{}", sanitize_summary_line(s));
-                hazards += s.findings as u64;
-            }
-            if let Some(s) = &store_line {
-                println!("{}", cache_summary_line(s));
-            }
-            if races.is_some() {
-                last_races = races;
-            }
-            if let Some(path) = &o.json {
-                let record = format!(
-                    "{{\"arch\":\"{}\",\"n\":{},\"workload\":\"{}\",\"threads\":{},\"mode\":\"{}\",\"interp\":\"{}\",\"wall_ms\":{:.3},\"winner\":\"{}\",\"block\":{},\"coarsen\":{},\"time_ns\":{}}}\n",
-                    arch.id,
-                    n,
-                    wkey.id(),
-                    threads,
-                    mode_id,
-                    interp_id,
-                    wall.as_secs_f64() * 1e3,
-                    report.winner_id(),
-                    report.block_size(),
-                    report.coarsen(),
-                    report.time_ns()
-                );
-                append_json(path, &record);
-            }
-            continue;
-        }
-        let start = Instant::now();
-        let report = match session.select_best(n) {
-            Ok(report) => report,
-            Err(e) => CLI.die(&format!("sweep failed: {e}")),
-        };
-        let wall = start.elapsed();
-        let row = &report.row;
-        println!(
-            "sweep arch={} n={} threads={} mode={} interp={} wall_ms={:.1} winner={} block={} coarsen={} time_ns={}",
-            arch.id,
-            n,
-            threads,
-            mode_id,
-            interp_id,
-            wall.as_secs_f64() * 1e3,
-            row.version,
-            row.block_size,
-            row.coarsen,
-            row.time_ns
-        );
-        if o.fault_seed.is_some() {
-            println!("{}", report.resilience.summary_line());
-        }
-        if let Some(profile) = &report.metrics.winner_profile {
-            println!("{}", profile_summary_line(profile));
-        }
-        if let Some(s) = &report.metrics.sanitize {
-            println!("{}", sanitize_summary_line(s));
-            hazards += s.findings as u64;
-        }
-        if let Some(s) = &report.metrics.store {
-            println!("{}", cache_summary_line(s));
-        }
-        if report.races.is_some() {
-            last_races = report.races.clone();
-        }
-        if let Some(path) = &o.json {
-            let record = format!(
-                "{{\"arch\":\"{}\",\"n\":{},\"threads\":{},\"mode\":\"{}\",\"interp\":\"{}\",\"wall_ms\":{:.3},\"winner\":\"{}\",\"block\":{},\"coarsen\":{},\"time_ns\":{}}}\n",
-                arch.id,
-                n,
-                threads,
-                mode_id,
-                interp_id,
-                wall.as_secs_f64() * 1e3,
-                row.version,
-                row.block_size,
-                row.coarsen,
-                row.time_ns
-            );
             append_json(path, &record);
         }
-        metrics.sweeps.push(report.metrics);
-        if report.trace.is_some() {
-            last_trace = report.trace;
+        if let Some(trace) = report.trace() {
+            last_trace = Some(trace.clone());
         }
+        metrics.sweeps.push(report.metrics().clone());
     }
 
     if let Some(path) = &o.trace_out {
@@ -350,8 +292,7 @@ fn main() {
     }
 }
 
-/// Append one JSON-lines record to `path` (both sweep flavors log
-/// through here so the open/write error handling stays identical).
+/// Append one JSON-lines record to `path`.
 fn append_json(path: &str, record: &str) {
     use std::io::Write as _;
     let open = std::fs::OpenOptions::new().create(true).append(true).open(path);

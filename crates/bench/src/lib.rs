@@ -26,12 +26,9 @@ use gpu_sim::{
 };
 use serde::{Deserialize, Serialize, Value};
 use tangram::api::CandidateRaces;
-use tangram::evaluate::EvalOptions;
 use tangram::metrics::{CacheMetrics, SanitizeSummary, StoreSummary, SweepMetrics};
-use tangram::resilience::{ResilienceOptions, ResilienceReport};
-use tangram::select::{select_best_report, select_best_with, SelectionRow};
+use tangram::resilience::ResilienceReport;
 use tangram::Session;
-use tangram_passes::planner;
 
 /// One point of a Fig. 7–10 series.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -184,93 +181,13 @@ impl BaselineCache {
     }
 }
 
-/// Produce the figure series for one architecture over `sizes`.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn arch_series(arch: &ArchConfig, sizes: &[u64]) -> Result<ArchSeries, SimError> {
-    arch_series_with(arch, sizes, &EvalOptions::default(), &mut BaselineCache::new())
-}
-
-/// [`arch_series`] with an explicit evaluation-engine configuration
-/// and a shared [`BaselineCache`].
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn arch_series_with(
-    arch: &ArchConfig,
-    sizes: &[u64],
-    opts: &EvalOptions,
-    baselines: &mut BaselineCache,
-) -> Result<ArchSeries, SimError> {
-    let mut points = Vec::with_capacity(sizes.len());
-    for &n in sizes {
-        let (_tuned, row): (_, SelectionRow) = select_best_with(arch, n, opts)?;
-        let cub_ns = baselines.cub(arch, n)?;
-        let kokkos_ns = baselines.kokkos(arch, n)?;
-        points.push(FigurePoint {
-            n,
-            tangram_ns: row.time_ns,
-            version: row.version.to_string(),
-            fig6_label: row.fig6_label,
-            tuning: (row.block_size, row.coarsen),
-            cub_ns,
-            kokkos_ns,
-            openmp_ns: baselines.openmp(n),
-        });
-    }
-    Ok(ArchSeries { arch: arch.id.clone(), points })
-}
-
-/// [`arch_series_with`] under a resilience policy: candidates that
-/// trap, time out, or fail the oracle are quarantined per size instead
-/// of aborting the series, and the per-size [`ResilienceReport`]s are
-/// merged into one. Winners are bit-identical to [`arch_series_with`]
-/// whenever every candidate survives.
-///
-/// # Errors
-///
-/// Fails when a size has no surviving candidate, on context-pool
-/// allocation failure, or on baseline measurement errors.
-pub fn arch_series_report(
-    arch: &ArchConfig,
-    sizes: &[u64],
-    opts: &EvalOptions,
-    res: &ResilienceOptions,
-    baselines: &mut BaselineCache,
-) -> Result<(ArchSeries, ResilienceReport), SimError> {
-    let candidates = planner::enumerate_pruned();
-    let mut points = Vec::with_capacity(sizes.len());
-    let mut merged = ResilienceReport::default();
-    for &n in sizes {
-        let (_tuned, row, report) = select_best_report(arch, n, &candidates, opts, res)?;
-        merged.merge(report);
-        let cub_ns = baselines.cub(arch, n)?;
-        let kokkos_ns = baselines.kokkos(arch, n)?;
-        points.push(FigurePoint {
-            n,
-            tangram_ns: row.time_ns,
-            version: row.version.to_string(),
-            fig6_label: row.fig6_label,
-            tuning: (row.block_size, row.coarsen),
-            cub_ns,
-            kokkos_ns,
-            openmp_ns: baselines.openmp(n),
-        });
-    }
-    Ok((ArchSeries { arch: arch.id.clone(), points }, merged))
-}
-
 /// Everything one [`arch_series_session`] run produces beyond the
 /// figure points themselves: merged job accounting, per-size sweep
 /// metrics, the last profiled winner's scheduler trace, and the last
 /// sanitizer screen's per-candidate race reports.
 #[derive(Debug)]
 pub struct SeriesReport {
-    /// The figure series (bit-identical to [`arch_series_with`] under
-    /// the same engine options).
+    /// The figure series.
     pub series: ArchSeries,
     /// Per-size job accounting merged into one report.
     pub resilience: ResilienceReport,
@@ -289,10 +206,10 @@ pub struct SeriesReport {
 /// [`Session`]: per-size sweep metrics ride along, job accounting is
 /// merged across sizes, and — when the session profiles — the
 /// scheduler [`Trace`] of the last (largest-size) winner is returned
-/// for Chrome `trace_event` export. The points are bit-identical to
-/// [`arch_series_with`] / [`arch_series_report`] under the same
-/// options: profiling re-runs winners and sanitizing screens
-/// candidates on scratch devices; neither re-selects winners.
+/// for Chrome `trace_event` export. The points are bit-identical
+/// across profiling and sanitizing: profiling re-runs winners and
+/// sanitizing screens candidates on scratch devices; neither
+/// re-selects winners.
 ///
 /// # Errors
 ///
@@ -304,14 +221,13 @@ pub fn arch_series_session(
     baselines: &mut BaselineCache,
 ) -> Result<SeriesReport, SimError> {
     let arch = session.arch().clone();
-    let candidates = planner::enumerate_pruned();
     let mut points = Vec::with_capacity(sizes.len());
     let mut metrics = Vec::with_capacity(sizes.len());
     let mut merged = ResilienceReport::default();
     let mut trace = None;
     let mut races = None;
     for &n in sizes {
-        let report = session.select_best_of(n, &candidates)?;
+        let report = session.select_best(n)?;
         merged.merge(report.resilience);
         metrics.push(report.metrics);
         if report.trace.is_some() {
@@ -495,6 +411,7 @@ pub fn max_speedup(points: &[FigurePoint]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tangram::evaluate::EvalOptions;
 
     #[test]
     fn baseline_cache_measures_once_per_arch_and_size() {
@@ -525,15 +442,16 @@ mod tests {
     }
 
     #[test]
-    fn session_series_matches_free_function_series() {
+    fn profiled_series_matches_plain_series() {
         let arch = ArchConfig::maxwell_gtx980();
         let sizes = [1024, 16_384];
         let opts = EvalOptions::serial();
-        let free =
-            arch_series_with(&arch, &sizes, &opts, &mut BaselineCache::new()).unwrap();
+        let plain = Session::new(arch.clone()).eval(opts);
+        let plain = arch_series_session(&plain, &sizes, &mut BaselineCache::new()).unwrap();
+        assert!(plain.trace.is_none(), "unprofiled sessions return no trace");
         let session = Session::new(arch).eval(opts).profiled(true);
         let rep = arch_series_session(&session, &sizes, &mut BaselineCache::new()).unwrap();
-        for (a, b) in free.points.iter().zip(&rep.series.points) {
+        for (a, b) in plain.series.points.iter().zip(&rep.series.points) {
             assert_eq!(a.version, b.version);
             assert_eq!(a.tangram_ns.to_bits(), b.tangram_ns.to_bits());
             assert_eq!(a.cub_ns.to_bits(), b.cub_ns.to_bits());

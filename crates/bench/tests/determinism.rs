@@ -4,17 +4,26 @@
 
 use gpu_sim::ArchConfig;
 use tangram::evaluate::EvalOptions;
-use tangram::select::selection_table_with;
-use tangram_bench::{arch_series_with, BaselineCache};
+use tangram::{SelectionRow, Session};
+use tangram_bench::{arch_series_session, ArchSeries, BaselineCache};
 
 const SIZES: [u64; 2] = [1024, 16_384];
+
+fn selection_table(arch: &ArchConfig, opts: EvalOptions) -> Vec<SelectionRow> {
+    let session = Session::new(arch.clone()).eval(opts);
+    SIZES.iter().map(|&n| session.select_best(n).unwrap().row).collect()
+}
+
+fn series(arch: &ArchConfig, opts: EvalOptions) -> ArchSeries {
+    let session = Session::new(arch.clone()).eval(opts);
+    arch_series_session(&session, &SIZES, &mut BaselineCache::new()).unwrap().series
+}
 
 #[test]
 fn selection_rows_are_identical_across_thread_counts() {
     for arch in ArchConfig::paper_archs() {
-        let serial = selection_table_with(&arch, &SIZES, &EvalOptions::serial()).unwrap();
-        let parallel =
-            selection_table_with(&arch, &SIZES, &EvalOptions::with_threads(4)).unwrap();
+        let serial = selection_table(&arch, EvalOptions::serial());
+        let parallel = selection_table(&arch, EvalOptions::with_threads(4));
         let a = serde_json::to_string_pretty(&serial).unwrap();
         let b = serde_json::to_string_pretty(&parallel).unwrap();
         assert_eq!(a, b, "selection table differs on {}", arch.id);
@@ -27,16 +36,8 @@ fn selection_rows_are_identical_across_thread_counts() {
 #[test]
 fn figure_json_is_identical_across_thread_counts() {
     for arch in ArchConfig::paper_archs() {
-        let serial =
-            arch_series_with(&arch, &SIZES, &EvalOptions::serial(), &mut BaselineCache::new())
-                .unwrap();
-        let parallel = arch_series_with(
-            &arch,
-            &SIZES,
-            &EvalOptions::with_threads(4),
-            &mut BaselineCache::new(),
-        )
-        .unwrap();
+        let serial = series(&arch, EvalOptions::serial());
+        let parallel = series(&arch, EvalOptions::with_threads(4));
         let a = serde_json::to_string_pretty(&serial).unwrap();
         let b = serde_json::to_string_pretty(&parallel).unwrap();
         assert_eq!(a, b, "figure series differs on {}", arch.id);

@@ -1,14 +1,16 @@
 //! The user-facing workload API.
 //!
-//! `Reducer` is what a library client of the extended Tangram would
-//! use: it owns an architecture, lazily selects and tunes the best
-//! synthesized code for each workload and array-size bucket (the
-//! paper's per-size winners, §IV-C), and runs workloads exactly via
-//! [`Reducer::run`]. [`Session::run`] is the tuning entry point: it
-//! takes a [`Workload`] (plain reductions, argmin/argmax, histograms)
-//! and returns the swept winner. The reduce-specific
-//! `Reducer::sum`/`max`/`min`/`reduce` methods remain as deprecated
-//! shims over [`Reducer::run`].
+//! [`Session::run`] is the one tuning entry point: it takes a
+//! [`Workload`] (any of the ten keys — plain reductions,
+//! argmin/argmax, histograms, scans, segmented sums) and returns the
+//! swept winner. Every key goes through the same engine: tuning-store
+//! lookup, nearest-bucket seeding, the sanitizer screen, the
+//! exhaustive / halving / resilient evaluation, oracle confirmation,
+//! and write-back. What differs per kind is the candidate
+//! candidate menu the engine sweeps (`crate::menu`). [`Reducer`] is what a
+//! library client would use: it owns an architecture, tunes each
+//! workload and array-size bucket once through [`Session::run`] (the
+//! paper's per-size winners, §IV-C), and runs caller data exactly.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -16,31 +18,25 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use gpu_sim::exec::BlockSelection;
-use gpu_sim::profile::Trace;
+use gpu_sim::profile::{LaunchProfile, Trace};
 use gpu_sim::{ArchConfig, Device, RaceReport, SimError};
-use tangram_codegen::CodegenError;
-use tangram_passes::planner::{self, CodeVersion};
-
-use tangram_codegen::{synthesize_cached, synthesize_workload_cached, Tuning};
-use tangram_passes::specialize::ReduceOp;
-use tangram_passes::workload::{enumerate_variants_for, WlVariant, WorkloadKey, WorkloadKind};
+use tangram_codegen::{CodegenError, Tuning};
+use tangram_passes::workload::{WorkloadKey, WorkloadKind};
 
 use crate::evaluate::{
-    best_measurement, coarsen_options, evaluate_all_timed, ContextPool, EvalOptions, RungStats,
-    SeedHint, SweepMode,
+    evaluate, first_fastest, ContextPool, EvalOptions, Fidelity, RungStats, SeedHint, SweepMode,
 };
-use crate::metrics::{SanitizeSummary, StoreSummary, SweepMetrics};
+use crate::menu::{Kernel, Menu};
+use crate::metrics::{SanitizeSummary, StoreSummary, SweepMetrics, WinnerRow};
 use crate::resilience::{
-    evaluate_all_report, JobReport, Oracle, QuarantineReason, ResilienceOptions, ResilienceReport,
+    evaluate_resilient, JobReport, QuarantineReason, ResilienceOptions, ResilienceReport,
 };
-use crate::runner::{run_reduction, run_workload, upload};
-use crate::select::{fig6_label_of, select_best, SelectionRow};
-use crate::store::{corpus_fingerprint, CacheMode, Lookup, StoreKey, StoreRecord, TuningStore};
-use crate::tuner::{TunedVersion, BLOCK_SIZES, COARSEN};
+use crate::runner::upload;
+use crate::select::{fig6_label_of, SelectionRow};
+use crate::store::{CacheMode, Lookup, StoreKey, StoreRecord, TuningStore};
+use crate::tuner::{TunedVersion, BLOCK_SIZES};
 use crate::workload::{
-    best_wl_measurement, evaluate_workload, expected_value, sanitize_workload_variant,
-    validate_workload_winner, workload_corpus, workload_corpus_fingerprint, Workload,
-    WorkloadMetrics, WorkloadReport, WorkloadRow, WorkloadValue,
+    expected_value, Workload, WorkloadReport, WorkloadRow, WorkloadValue,
 };
 
 /// Errors surfaced by the high-level API.
@@ -78,25 +74,6 @@ impl From<CodegenError> for TangramError {
     }
 }
 
-/// Result of a reduction, including what code ran.
-#[derive(Debug, Clone)]
-pub struct SumResult {
-    /// The reduction operator that was computed.
-    pub op: ReduceOp,
-    /// The reduced value.
-    pub value: f32,
-    /// The code version that ran.
-    pub version: CodeVersion,
-    /// Its Fig. 6 label, when applicable.
-    pub fig6_label: Option<char>,
-    /// Tuned block size.
-    pub block_size: u32,
-    /// Tuned coarsening factor.
-    pub coarsen: u32,
-    /// Modelled execution time (ns) of this reduction.
-    pub time_ns: f64,
-}
-
 /// Result of running one workload over caller data: the computed
 /// [`WorkloadValue`] plus what code ran.
 #[derive(Debug, Clone)]
@@ -106,7 +83,7 @@ pub struct WorkloadResult {
     /// The computed value (scalar, packed arg-pair, or bins).
     pub value: WorkloadValue,
     /// Display id of the code that ran: a `CodeVersion` string for
-    /// reductions, a [`WlVariant::id`] for the other workloads.
+    /// reductions, a [`WlVariant::id`](crate::WlVariant::id) for the other workloads.
     pub version: String,
     /// Tuned block size.
     pub block_size: u32,
@@ -138,14 +115,15 @@ pub struct WorkloadResult {
 #[derive(Debug)]
 pub struct Reducer {
     arch: ArchConfig,
-    cache: HashMap<u32, TunedVersion>,
-    wl_cache: HashMap<(WorkloadKey, u32), (WlVariant, Tuning)>,
+    /// The tuned winner `(candidate, tuning)` per swept key and size
+    /// bucket.
+    cache: HashMap<(WorkloadKey, u32), (usize, Tuning)>,
 }
 
 impl Reducer {
     /// Create a reducer targeting `arch`.
     pub fn new(arch: ArchConfig) -> Self {
-        Reducer { arch, cache: HashMap::new(), wl_cache: HashMap::new() }
+        Reducer { arch, cache: HashMap::new() }
     }
 
     /// The target architecture.
@@ -160,9 +138,12 @@ impl Reducer {
     }
 
     /// Run any workload over `data`: plain reductions, argmin/argmax
-    /// (the winning index is [`WorkloadValue::arg_index`]), and
-    /// histograms. Selection and tuning are cached per workload and
-    /// size bucket, exactly like the classic reduction path.
+    /// (the winning index is [`WorkloadValue::arg_index`]),
+    /// histograms, scans, and segmented sums. The winner is tuned
+    /// once per workload and size bucket through [`Session::run`].
+    /// Every reduce operator shares the `sum-f32` sweep (its menu
+    /// times `Sum` kernels whatever the operator) and runs the winner
+    /// with its own operator.
     ///
     /// # Errors
     ///
@@ -177,17 +158,6 @@ impl Reducer {
         if n >= (1 << 31) {
             return Err(TangramError::TooLarge(n));
         }
-        if let WorkloadKind::Reduce(op) = workload.kind {
-            let r = self.reduce_inner(data, op)?;
-            return Ok(WorkloadResult {
-                workload,
-                value: WorkloadValue::Scalar(r.value),
-                version: r.version.to_string(),
-                block_size: r.block_size,
-                coarsen: r.coarsen,
-                time_ns: r.time_ns,
-            });
-        }
         if n == 0 {
             // Degenerate but well-defined: exactly what the CPU
             // reference computes over an empty array.
@@ -200,137 +170,42 @@ impl Reducer {
                 time_ns: 0.0,
             });
         }
-        let bucket = Self::bucket(n);
-        if !self.wl_cache.contains_key(&(workload, bucket)) {
-            let report = match Session::new(self.arch.clone())
-                .run(&Workload::new(workload, n))?
-            {
-                RunReport::Workload(report) => report,
-                RunReport::Reduce(_) => unreachable!("non-reduce kind swept as reduction"),
-            };
-            let variant: WlVariant = report
-                .row
-                .variant
-                .parse()
-                .map_err(|e: String| TangramError::Sim(SimError::InvalidLaunch(e)))?;
-            let tuning =
-                Tuning { block_size: report.row.block_size, coarsen: report.row.coarsen };
-            self.wl_cache.insert((workload, bucket), (variant, tuning));
-        }
-        let (variant, tuning) = self.wl_cache[&(workload, bucket)];
-        let sw = synthesize_workload_cached(workload, variant, tuning)?;
+        let swept = match workload.kind {
+            WorkloadKind::Reduce(_) => WorkloadKey::sum(),
+            _ => workload,
+        };
+        let slot = (swept, Self::bucket(n));
+        let (c, tuning) = match self.cache.get(&slot) {
+            Some(&won) => won,
+            None => {
+                let won = self.tune(swept, n)?;
+                self.cache.insert(slot, won);
+                won
+            }
+        };
+        let kernel = Menu::for_key(workload).runnable(c, tuning)?;
         let mut dev = Device::new(self.arch.clone());
         let input = upload(&mut dev, data)?;
         dev.reset_clock();
-        let value = run_workload(&mut dev, &sw, input, n, BlockSelection::All)?;
+        let value = kernel.run(&mut dev, input, n, BlockSelection::All)?;
         Ok(WorkloadResult {
             workload,
             value,
-            version: variant.id(),
+            version: kernel.id(),
             block_size: tuning.block_size,
             coarsen: tuning.coarsen,
             time_ns: dev.elapsed_ns(),
         })
     }
 
-    /// Reduce `data` to its sum with the best synthesized version for
-    /// this architecture and size.
-    ///
-    /// # Errors
-    ///
-    /// [`TangramError`] on simulator failures or inputs above 2³¹
-    /// elements.
-    #[deprecated(since = "0.2.0", note = "use `Reducer::run(WorkloadKey::sum(), data)`")]
-    pub fn sum(&mut self, data: &[f32]) -> Result<SumResult, TangramError> {
-        self.reduce_inner(data, ReduceOp::Sum)
-    }
-
-    /// Reduce `data` to its maximum (the `atomicMax` API family,
-    /// §III-A).
-    ///
-    /// # Errors
-    ///
-    /// See [`Reducer::run`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Reducer::run(WorkloadKey::reduce(ReduceOp::Max), data)`"
-    )]
-    pub fn max(&mut self, data: &[f32]) -> Result<SumResult, TangramError> {
-        self.reduce_inner(data, ReduceOp::Max)
-    }
-
-    /// Reduce `data` to its minimum (the `atomicMin` API family,
-    /// §III-A).
-    ///
-    /// # Errors
-    ///
-    /// See [`Reducer::run`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Reducer::run(WorkloadKey::reduce(ReduceOp::Min), data)`"
-    )]
-    pub fn min(&mut self, data: &[f32]) -> Result<SumResult, TangramError> {
-        self.reduce_inner(data, ReduceOp::Min)
-    }
-
-    /// Reduce `data` under an arbitrary operator.
-    ///
-    /// # Errors
-    ///
-    /// See [`Reducer::run`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Reducer::run(WorkloadKey::reduce(op), data)`"
-    )]
-    pub fn reduce(&mut self, data: &[f32], op: ReduceOp) -> Result<SumResult, TangramError> {
-        self.reduce_inner(data, op)
-    }
-
-    /// The classic reduction path behind both [`Reducer::run`] and the
-    /// deprecated shims. Version selection is shared across operators
-    /// (the fold changes, not the schedule); the kernels are
-    /// re-synthesized with the operator's folds, atomics and identity
-    /// element.
-    fn reduce_inner(&mut self, data: &[f32], op: ReduceOp) -> Result<SumResult, TangramError> {
-        let n = data.len() as u64;
-        if n >= (1 << 31) {
-            return Err(TangramError::TooLarge(n));
-        }
-        if n == 0 {
-            return Ok(SumResult {
-                op,
-                value: op.identity_f32(),
-                version: tangram_passes::planner::fig6_versions()[0].1,
-                fig6_label: None,
-                block_size: 0,
-                coarsen: 0,
-                time_ns: 0.0,
-            });
-        }
-        let bucket = Self::bucket(n);
-        if !self.cache.contains_key(&bucket) {
-            let (tuned, _row) = select_best(&self.arch, n)?;
-            self.cache.insert(bucket, tuned);
-        }
-        let tuned = &self.cache[&bucket];
-        let sv = if op == ReduceOp::Sum {
-            tuned.synthesized.clone()
-        } else {
-            synthesize_cached(tuned.synthesized.version, tuned.synthesized.tuning, op)?
-        };
-        let mut dev = Device::new(self.arch.clone());
-        let input = upload(&mut dev, data)?;
-        dev.reset_clock();
-        let value = run_reduction(&mut dev, &sv, input, n, BlockSelection::All)?;
-        Ok(SumResult {
-            op,
-            value,
-            version: sv.version,
-            fig6_label: fig6_label_of(sv.version),
-            block_size: sv.tuning.block_size,
-            coarsen: sv.tuning.coarsen,
-            time_ns: dev.elapsed_ns(),
-        })
+    /// Sweep `workload` at `n`: the winner's menu index and tuning.
+    fn tune(&self, workload: WorkloadKey, n: u64) -> Result<(usize, Tuning), TangramError> {
+        let report = Session::new(self.arch.clone()).run(&Workload::new(workload, n))?;
+        let id = report.winner_id();
+        let c = Menu::for_key(workload).find(&id).ok_or_else(|| {
+            SimError::InvalidLaunch(format!("winner `{id}` is not on the {workload} menu"))
+        })?;
+        Ok((c, Tuning { block_size: report.block_size(), coarsen: report.coarsen() }))
     }
 }
 
@@ -400,43 +275,6 @@ impl serde::Serialize for CandidateRaces {
 /// grid combines and partial tail blocks still occur.
 pub(crate) const SANITIZE_N_CAP: u64 = 65_536;
 
-/// Run one candidate under the race sanitizer at its first feasible
-/// tuning. Returns `None` when the candidate has no feasible tuning or
-/// dies on a hard simulator error — both are left for the evaluation
-/// engine, which already classifies them (infeasible / quarantined).
-fn sanitize_candidate(
-    arch: &ArchConfig,
-    n: u64,
-    candidate: usize,
-    version: CodeVersion,
-) -> Result<Option<CandidateRaces>, SimError> {
-    for &block_size in &BLOCK_SIZES {
-        for &coarsen in coarsen_options(version) {
-            let tuning = Tuning { block_size, coarsen };
-            let Ok(sv) = synthesize_cached(version, tuning, ReduceOp::Sum) else { continue };
-            let mut dev = Device::new(arch.clone());
-            dev.set_sanitizing(true);
-            let input = dev.alloc_f32(n)?;
-            match run_reduction(&mut dev, &sv, input, n, BlockSelection::All) {
-                Ok(_) => {
-                    let reports: Vec<RaceReport> =
-                        dev.launches().iter().filter_map(|l| l.races.clone()).collect();
-                    return Ok(Some(CandidateRaces {
-                        candidate,
-                        version: version.to_string(),
-                        block_size,
-                        coarsen,
-                        reports,
-                    }));
-                }
-                Err(SimError::InvalidLaunch(_)) => continue,
-                Err(_) => return Ok(None),
-            }
-        }
-    }
-    Ok(None)
-}
-
 /// Quarantine bookkeeping for a tuning-store record that failed
 /// validation: the fallback sweep's [`ResilienceReport`] carries one
 /// [`QuarantineReason::CacheInvalid`] event naming the record and the
@@ -487,43 +325,39 @@ pub enum RunReport {
     /// A plain reduction was tuned over the planner's pruned
     /// `CodeVersion` corpus.
     Reduce(Box<SweepReport>),
-    /// A non-reduce workload was tuned over the six workload
-    /// variants.
+    /// A non-reduce workload was tuned over its kind's variant menu.
     Workload(Box<WorkloadReport>),
 }
 
 impl RunReport {
+    /// The sweep's metrics: winner, job accounting, profile,
+    /// sanitizer and store outcomes.
+    pub fn metrics(&self) -> &SweepMetrics {
+        match self {
+            RunReport::Reduce(r) => &r.metrics,
+            RunReport::Workload(r) => &r.metrics,
+        }
+    }
+
     /// The winning block size.
     pub fn block_size(&self) -> u32 {
-        match self {
-            RunReport::Reduce(r) => r.row.block_size,
-            RunReport::Workload(r) => r.row.block_size,
-        }
+        self.metrics().winner.block_size
     }
 
     /// The winning coarsening factor.
     pub fn coarsen(&self) -> u32 {
-        match self {
-            RunReport::Reduce(r) => r.row.coarsen,
-            RunReport::Workload(r) => r.row.coarsen,
-        }
+        self.metrics().winner.coarsen
     }
 
     /// The winner's modelled time (ns).
     pub fn time_ns(&self) -> f64 {
-        match self {
-            RunReport::Reduce(r) => r.row.time_ns,
-            RunReport::Workload(r) => r.row.time_ns,
-        }
+        self.metrics().winner.time_ns
     }
 
     /// Display id of the winning code: a `CodeVersion` string for
-    /// reductions, a [`WlVariant::id`] for the other workloads.
+    /// reductions, a [`WlVariant::id`](crate::WlVariant::id) for the other workloads.
     pub fn winner_id(&self) -> String {
-        match self {
-            RunReport::Reduce(r) => r.row.version.to_string(),
-            RunReport::Workload(r) => r.row.variant.clone(),
-        }
+        self.metrics().winner.id.clone()
     }
 
     /// The workload sweep report, when this was a non-reduce run.
@@ -541,28 +375,30 @@ impl RunReport {
             RunReport::Workload(_) => None,
         }
     }
-}
 
-/// The result of a [`Session`] selection-table sweep over several
-/// sizes.
-#[derive(Debug, Clone)]
-pub struct TableReport {
-    /// One winning row per size, in input order.
-    pub rows: Vec<SelectionRow>,
-    /// Per-size job accounting merged into one report.
-    pub resilience: ResilienceReport,
-    /// Per-size sweep metrics, in input order.
-    pub metrics: Vec<SweepMetrics>,
+    /// The profiled winner's scheduler trace.
+    pub fn trace(&self) -> Option<&Trace> {
+        match self {
+            RunReport::Reduce(r) => r.trace.as_ref(),
+            RunReport::Workload(r) => r.trace.as_ref(),
+        }
+    }
+
+    /// Per-candidate race reports of the sanitizer screen.
+    pub fn races(&self) -> Option<&[CandidateRaces]> {
+        match self {
+            RunReport::Reduce(r) => r.races.as_deref(),
+            RunReport::Workload(r) => r.races.as_deref(),
+        }
+    }
 }
 
 /// One configured entry point for every sweep flavor.
 ///
 /// A `Session` fixes the architecture, evaluation engine options,
-/// optional resilience policy, and whether sweeps run profiled — then
-/// [`Session::select_best`] and [`Session::selection_table`] return
-/// typed reports instead of ad-hoc tuples. The free functions in
-/// [`crate::select`] remain as thin conveniences; the session is the
-/// one place all their knobs compose.
+/// optional resilience policy, profiling, sanitizing, and tuning
+/// store — then [`Session::run`] sweeps any [`Workload`] under all of
+/// them and returns a typed report.
 ///
 /// # Examples
 ///
@@ -649,7 +485,7 @@ impl Session {
 
     /// Attach a persistent tuning store rooted at `dir` (created on
     /// first use). Sweeps then warm-start: a cached winner for the
-    /// session's `(arch, op, dtype, n-bucket)` key — written by a
+    /// session's `(arch, workload, n-bucket)` key — written by a
     /// previous sweep over the *same* candidate corpus — is
     /// re-confirmed at full fidelity (modelled-time bits and the
     /// cpu-ref oracle) and, when it holds up, returned without
@@ -704,357 +540,264 @@ impl Session {
         self.sanitize
     }
 
-    /// Tune any [`Workload`] — the single workload-generic entry
-    /// point. Plain reductions sweep the planner's pruned
-    /// `CodeVersion` corpus (exactly [`Session::select_best`], with
-    /// the store keyed by the workload); argmin/argmax and histograms
-    /// sweep the six workload variants and validate the winner
-    /// against the CPU reference exactly.
+    /// Tune any [`Workload`]: the one sweep engine behind every key.
+    ///
+    /// The steps are the same for all ten keys; the workload's
+    /// candidate menu decides what is swept:
+    ///
+    /// 1. with a store, an exact record is re-confirmed and returned
+    ///    warm, and the nearest cached bucket seeds a halving sweep;
+    /// 2. a sanitizing session quarantines racy candidates;
+    /// 3. the engine evaluates every `(candidate, tuning)` job —
+    ///    exhaustively, by successive halving, or under the
+    ///    resilience policy;
+    /// 4. non-reduce winners are checked against the cpu-ref oracle
+    ///    exactly, and a profiling session re-runs the winner with
+    ///    site counters;
+    /// 5. the winner is written back to the store.
     ///
     /// # Errors
     ///
-    /// Propagates simulator errors; fails when no candidate is
-    /// feasible or (for non-reduce workloads) when the winner fails
-    /// the cpu-ref oracle.
+    /// Propagates simulator errors; fails when `n` is outside
+    /// `1..2^31`, when no candidate is feasible, or (for non-reduce
+    /// workloads) when the winner fails the cpu-ref oracle.
     pub fn run(&self, workload: &Workload) -> Result<RunReport, SimError> {
-        if workload.key.kind.is_reduce() {
-            let report =
-                self.select_best_keyed(workload.n, &planner::enumerate_pruned(), workload.key)?;
-            Ok(RunReport::Reduce(Box::new(report)))
-        } else {
-            Ok(RunReport::Workload(Box::new(self.sweep_workload(workload)?)))
-        }
-    }
-
-    /// Select the fastest pruned version for `n` elements.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors; fails when no candidate is
-    /// feasible.
-    pub fn select_best(&self, n: u64) -> Result<SweepReport, SimError> {
-        self.select_best_of(n, &planner::enumerate_pruned())
-    }
-
-    /// Select the fastest of `candidates` for `n` elements.
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::select_best`].
-    pub fn select_best_of(
-        &self,
-        n: u64,
-        candidates: &[CodeVersion],
-    ) -> Result<SweepReport, SimError> {
-        self.select_best_keyed(n, candidates, WorkloadKey::sum())
-    }
-
-    /// The reduction sweep with an explicit workload key: `wkey` names
-    /// the store record and the metrics entry (the schedule search is
-    /// shared across reduction operators, so a `max-f32` sweep runs
-    /// the same sum-synthesized timing corpus but files its winner
-    /// under its own key).
-    fn select_best_keyed(
-        &self,
-        n: u64,
-        candidates: &[CodeVersion],
-        wkey: WorkloadKey,
-    ) -> Result<SweepReport, SimError> {
         let t0 = Instant::now();
-        let mut opts = self.opts;
+        let n = workload.n;
+        if n == 0 || n >= (1 << 31) {
+            return Err(SimError::InvalidLaunch(format!(
+                "sweeps take 1..2^31 elements, got {n}"
+            )));
+        }
+        let menu = Menu::for_key(workload.key);
 
-        // Persistent tuning store: try to answer the sweep from a
-        // cached, re-confirmed winner. Every failure mode of the
-        // store degrades to a clean cold sweep (plus a CacheInvalid
+        // Persistent tuning store: try to answer from a cached,
+        // re-confirmed winner. Every failure mode of the store
+        // degrades to a clean cold sweep (plus a CacheInvalid
         // quarantine entry when a record existed but could not be
         // trusted) — the cache can never panic the sweep, change its
         // winner, or make it fail.
-        let mut store_state: Option<(TuningStore, StoreKey)> = None;
-        let mut cache_summary: Option<StoreSummary> = None;
+        let mut store: Option<(TuningStore, StoreKey)> = None;
+        let mut summary: Option<StoreSummary> = None;
         let mut cache_jobs: Vec<JobReport> = Vec::new();
-        if self.cache_mode != CacheMode::Off {
-            if let Some(dir) = &self.cache_dir {
-                let key = StoreKey::for_workload(&self.arch.id, wkey, n);
-                let mut summary = StoreSummary {
-                    dir: dir.display().to_string(),
-                    mode: self.cache_mode.id().to_string(),
-                    key: key.label(),
-                    outcome: "miss".to_string(),
-                    detail: None,
-                    warm: false,
-                    seeded: false,
-                    saved: false,
-                };
-                match TuningStore::open(dir, corpus_fingerprint(candidates)) {
-                    Err(e) => {
-                        summary.outcome = "disabled".to_string();
-                        summary.detail = Some(e.to_string());
-                    }
-                    Ok(store) => {
-                        match store.load(&key) {
-                            Lookup::Hit(rec) if rec.n == n => {
-                                match self.confirm_cached(n, &rec, candidates, wkey, t0) {
-                                    Ok(mut report) => {
-                                        summary.outcome = "warm".to_string();
-                                        summary.warm = true;
-                                        report.metrics.store = Some(summary);
-                                        return Ok(report);
-                                    }
-                                    Err(reason) => {
-                                        summary.outcome = "invalid".to_string();
-                                        summary.detail = Some(reason.clone());
-                                        cache_jobs.push(cache_invalid_job(
-                                            &key,
-                                            Some(&rec),
-                                            reason,
-                                        ));
-                                    }
-                                }
-                            }
-                            Lookup::Hit(rec) => {
-                                // Same bucket, different exact size:
-                                // an honest miss (the fresh sweep
-                                // overwrites the record in rw mode).
-                                summary.detail = Some(format!(
-                                    "bucket record is for n={}, sweep is n={n}",
-                                    rec.n
-                                ));
-                            }
-                            Lookup::Miss => {}
-                            Lookup::Invalid { reason, quarantined } => {
-                                summary.outcome = "invalid".to_string();
-                                let detail = match &quarantined {
-                                    Some(q) => {
-                                        format!("{reason}; quarantined to {}", q.display())
-                                    }
-                                    None => reason,
-                                };
-                                summary.detail = Some(detail.clone());
-                                cache_jobs.push(cache_invalid_job(&key, None, detail));
-                            }
-                        }
-                        // Nearest-bucket warm start: an exact miss (or
-                        // an unconfirmable exact record) can still
-                        // *seed* the halving sweep's survivor selection
-                        // from the nearest cached neighbor. The hint is
-                        // never trusted — a wrong seed falls back to
-                        // the full survivor rung (see
-                        // [`SeedHint`]) — so this narrows the sweep
-                        // without being able to change its winner.
-                        if opts.sweep == SweepMode::Halving {
-                            if let Some(near) = store.load_nearest(&key) {
-                                let live = candidates
-                                    .iter()
-                                    .find(|v| v.to_string() == near.version);
-                                if let Some(&version) = live {
-                                    if BLOCK_SIZES.contains(&near.block_size)
-                                        && coarsen_options(version).contains(&near.coarsen)
-                                    {
-                                        opts.seed = Some(SeedHint {
-                                            version,
-                                            tuning: Tuning {
-                                                block_size: near.block_size,
-                                                coarsen: near.coarsen,
-                                            },
-                                        });
-                                        summary.seeded = true;
-                                        let note =
-                                            format!("seeded from {}", near.key.label());
-                                        summary.detail =
-                                            Some(match summary.detail.take() {
-                                                Some(d) => format!("{d}; {note}"),
-                                                None => note,
-                                            });
-                                    }
-                                }
-                            }
-                        }
-                        store_state = Some((store, key));
-                    }
+        let mut near: Option<StoreRecord> = None;
+        if let Some(dir) = self.cache_dir.as_ref().filter(|_| self.cache_mode != CacheMode::Off) {
+            let key = StoreKey::for_workload(&self.arch.id, workload.key, n);
+            let mut s = StoreSummary {
+                dir: dir.display().to_string(),
+                mode: self.cache_mode.id().to_string(),
+                key: key.label(),
+                outcome: "miss".to_string(),
+                detail: None,
+                warm: false,
+                seeded: false,
+                saved: false,
+            };
+            match TuningStore::open(dir, menu.fingerprint()) {
+                Err(e) => {
+                    s.outcome = "disabled".to_string();
+                    s.detail = Some(e.to_string());
                 }
-                cache_summary = Some(summary);
+                Ok(st) => {
+                    match st.load(&key) {
+                        Lookup::Hit(rec) if rec.n == n => match self.confirm_cached(&menu, n, &rec) {
+                            Ok(won) => {
+                                s.outcome = "warm".to_string();
+                                s.warm = true;
+                                return self.report(workload, won, Some(s), t0);
+                            }
+                            Err(reason) => {
+                                s.outcome = "invalid".to_string();
+                                s.detail = Some(reason.clone());
+                                cache_jobs.push(cache_invalid_job(&key, Some(&rec), reason));
+                            }
+                        },
+                        // Same bucket, different exact size: an honest
+                        // miss (the fresh sweep overwrites the record
+                        // in rw mode).
+                        Lookup::Hit(rec) => {
+                            s.detail =
+                                Some(format!("bucket record is for n={}, sweep is n={n}", rec.n));
+                        }
+                        Lookup::Miss => {}
+                        Lookup::Invalid { reason, quarantined } => {
+                            s.outcome = "invalid".to_string();
+                            let detail = match &quarantined {
+                                Some(q) => format!("{reason}; quarantined to {}", q.display()),
+                                None => reason,
+                            };
+                            s.detail = Some(detail.clone());
+                            cache_jobs.push(cache_invalid_job(&key, None, detail));
+                        }
+                    }
+                    // Nearest-bucket warm start: an exact miss can
+                    // still *seed* the halving survivor rung from the
+                    // nearest cached neighbor (see [`SeedHint`]).
+                    if self.opts.sweep == SweepMode::Halving {
+                        near = st.load_nearest(&key);
+                    }
+                    store = Some((st, key));
+                }
             }
+            summary = Some(s);
         }
 
         // Sanitizer screen: run every candidate once under shadow-state
         // tracking on a scratch device; racy candidates are quarantined
-        // here and never reach the timing engine below. Candidates the
+        // here and never reach the timing engine. Candidates the
         // screen cannot run (no feasible tuning, hard error) pass
         // through — the engine already classifies those.
-        let mut racy_jobs: Vec<JobReport> = Vec::new();
-        let (survivors, races) = if self.sanitize {
+        let (menu, races, racy_jobs) = if self.sanitize {
             let sn = n.min(SANITIZE_N_CAP);
-            let mut survivors = Vec::with_capacity(candidates.len());
-            let mut screened = Vec::with_capacity(candidates.len());
-            for (i, &version) in candidates.iter().enumerate() {
-                match sanitize_candidate(&self.arch, sn, i, version)? {
-                    Some(cr) if !cr.is_clean() => {
-                        racy_jobs.push(JobReport {
-                            candidate: i,
-                            version: cr.version.clone(),
-                            block_size: cr.block_size,
-                            coarsen: cr.coarsen,
-                            attempts: 1,
-                            faults_injected: 0,
-                            faults_detected: 0,
-                            measured: false,
-                            quarantined: Some(QuarantineReason::Race(cr.summary())),
-                        });
-                        screened.push(cr);
-                    }
-                    Some(cr) => {
-                        survivors.push(version);
-                        screened.push(cr);
-                    }
-                    None => survivors.push(version),
-                }
+            let mut screened = Vec::with_capacity(menu.len());
+            for c in 0..menu.len() {
+                screened.extend(menu.sanitize(&self.arch, sn, c)?);
             }
-            (survivors, Some(screened))
+            let (live, racy_jobs) = quarantine_racy(&menu, &screened);
+            (live, Some(screened), racy_jobs)
         } else {
-            (candidates.to_vec(), None)
+            (menu, None, Vec::new())
         };
-        let candidates = &survivors[..];
+
+        // The seed is a hint, never trusted: a wrong one falls back to
+        // the full survivor rung, so it narrows the sweep without
+        // being able to change its winner.
+        let mut opts = self.opts;
+        if let (Some(near), Some(s)) = (near, summary.as_mut()) {
+            let tuning = Tuning { block_size: near.block_size, coarsen: near.coarsen };
+            if let Some(c) = menu.find(&near.version).filter(|&c| menu.contains(c, tuning)) {
+                opts.seed = Some(SeedHint { candidate: c, tuning });
+                s.seeded = true;
+                append_detail(s, format!("seeded from {}", near.key.label()));
+            }
+        }
 
         let pool = ContextPool::builder(&self.arch, n).opts(&opts).build();
         let (results, rungs, mut resilience) = match &self.res {
             None => {
-                let (results, rungs) = evaluate_all_timed(&pool, candidates, &opts)?;
+                let (results, rungs) = evaluate(&pool, &menu, &opts)?;
                 let mut rep = ResilienceReport {
                     total_jobs: results.len(),
                     measured: results.iter().flatten().count(),
                     ..ResilienceReport::default()
                 };
-                match opts.sweep {
-                    SweepMode::Exhaustive => rep.infeasible = rep.total_jobs - rep.measured,
-                    SweepMode::Halving => {
-                        // The screen rung sees every feasible job;
-                        // survivors not re-measured were pruned.
-                        let screened = rungs.first().map_or(0, |r| r.measured);
-                        rep.infeasible = rep.total_jobs - screened;
-                        rep.pruned = screened.saturating_sub(rep.measured);
-                    }
-                }
+                // Halving: the screen rung sees every feasible job;
+                // survivors not re-measured were pruned.
+                let screened = match opts.sweep {
+                    SweepMode::Exhaustive => rep.measured,
+                    SweepMode::Halving => rungs.first().map_or(0, |r| r.measured),
+                };
+                rep.infeasible = rep.total_jobs - screened;
+                rep.pruned = screened.saturating_sub(rep.measured);
                 (results, rungs, rep)
             }
             Some(res) => {
                 let t = Instant::now();
-                let (results, report) =
-                    evaluate_all_report(&pool, candidates, &opts, res)?;
+                let (results, rep) = evaluate_resilient(&pool, &menu, &opts, res)?;
                 let rungs = vec![RungStats::tally("resilient", results.len(), &results, t)];
-                (results, rungs, report)
+                (results, rungs, rep)
             }
         };
-        for job in racy_jobs {
+        for job in racy_jobs.into_iter().chain(cache_jobs) {
             resilience.absorb(job);
         }
-        for job in cache_jobs {
-            resilience.absorb(job);
-        }
-        let best = best_measurement(&results)
-            .ok_or_else(|| SimError::InvalidLaunch("no feasible version".into()))?;
-        let tuned = TunedVersion { synthesized: best.synthesized.clone(), time_ns: best.time_ns };
-        let row = SelectionRow {
-            n,
-            version: best.version,
-            fig6_label: fig6_label_of(best.version),
-            block_size: best.tuning.block_size,
-            coarsen: best.tuning.coarsen,
-            time_ns: best.time_ns,
+        let best = first_fastest(&results, |m| m.time_ns)
+            .ok_or_else(|| SimError::InvalidLaunch("no feasible candidate".into()))?;
+
+        // Exact oracle check of the winner before it is reported or
+        // persisted (non-reduce menus only; see `Menu::confirms_winner`).
+        let checked = if menu.confirms_winner() {
+            let on = n.min(SANITIZE_N_CAP);
+            let oracle = menu.oracle(on);
+            let got = oracle.run(&self.arch, opts.interp, &best.kernel)?;
+            if !oracle.matches(&got) {
+                return Err(SimError::InvalidLaunch(format!(
+                    "{} winner {} fails the cpu-ref oracle at n={on}: device {}, cpu-ref {}",
+                    workload.key,
+                    best.kernel.id(),
+                    got.summary(),
+                    oracle.expected()
+                )));
+            }
+            Some((got, on))
+        } else {
+            None
         };
         let (winner_profile, trace) = if self.profile {
             let mut ctx = pool.acquire()?;
-            let (_, profiles, trace) = ctx.measure_profiled(&tuned.synthesized)?;
+            let (profile, trace) = best.kernel.profile(&mut ctx)?;
             pool.release(ctx);
-            (profiles.into_iter().next(), Some(trace))
+            (profile, Some(trace))
         } else {
             (None, None)
         };
+
         // Write the fresh winner back. A write failure (disk full,
         // lock held by a live writer, read-only store) is recorded in
         // the summary, never surfaced as a sweep error.
-        if let (Some((store, key)), Some(summary)) = (&store_state, cache_summary.as_mut()) {
+        if let (Some((st, key)), Some(s)) = (&store, summary.as_mut()) {
             if self.cache_mode == CacheMode::ReadWrite {
                 let rec = StoreRecord {
                     key: key.clone(),
                     n,
-                    version: row.version.to_string(),
-                    block_size: row.block_size,
-                    coarsen: row.coarsen,
-                    time_ns_bits: row.time_ns.to_bits(),
+                    version: best.kernel.id(),
+                    block_size: best.tuning.block_size,
+                    coarsen: best.tuning.coarsen,
+                    time_ns_bits: best.time_ns.to_bits(),
                 };
-                match store.save(&rec) {
+                match st.save(&rec) {
                     Ok(receipt) => {
-                        summary.saved = true;
+                        s.saved = true;
                         if receipt.lock_attempts > 1 {
-                            let note = format!(
-                                "lock acquired after {} attempts",
-                                receipt.lock_attempts
-                            );
-                            summary.detail = Some(match summary.detail.take() {
-                                Some(d) => format!("{d}; {note}"),
-                                None => note,
-                            });
+                            let attempts = receipt.lock_attempts;
+                            append_detail(s, format!("lock acquired after {attempts} attempts"));
                         }
                     }
-                    Err(e) => {
-                        summary.detail = Some(match summary.detail.take() {
-                            Some(d) => format!("{d}; save failed: {e}"),
-                            None => format!("save failed: {e}"),
-                        });
-                    }
+                    Err(e) => append_detail(s, format!("save failed: {e}")),
                 }
             }
         }
-        let metrics = SweepMetrics {
-            arch: self.arch.id.clone(),
-            n,
-            workload: wkey,
-            mode: if self.res.is_some() {
-                format!("resilient-{}", opts.sweep.id())
-            } else {
-                opts.sweep.id().to_string()
-            },
-            interp: opts.interp.id().to_string(),
-            threads: opts.threads,
+        let won = Won {
+            kernel: best.kernel.clone(),
+            time_ns: best.time_ns,
+            checked,
             rungs,
-            resilience: resilience.clone(),
-            winner: row.clone(),
+            resilience,
+            races,
             winner_profile,
-            sanitize: races.as_ref().map(|rs| SanitizeSummary {
-                candidates: rs.len(),
-                racy: rs.iter().filter(|r| !r.is_clean()).count(),
-                findings: rs.iter().map(CandidateRaces::findings).sum(),
-                occurrences: rs.iter().map(CandidateRaces::occurrences).sum(),
-            }),
-            store: cache_summary,
-            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+            trace,
         };
-        Ok(SweepReport { tuned, row, resilience, metrics, trace, races })
+        self.report(workload, won, summary, t0)
     }
 
-    /// Try to turn a loaded store record into a finished
-    /// [`SweepReport`] without sweeping: re-map the version into the
-    /// live candidate set, re-synthesize, (when the session
-    /// sanitizes) race-screen it, re-measure at full fidelity, and
-    /// validate against the cpu-ref oracle at the exact size. Any
-    /// failure — including hard simulator errors — returns the reason
-    /// instead, and the caller falls back to a clean cold sweep. An
-    /// accepted warm report is bit-identical to the cold sweep that
-    /// wrote the record, because the measurement is a pure function
-    /// of `(arch, n, version, tuning)` and the accepted time bits
-    /// must reproduce exactly.
-    fn confirm_cached(
-        &self,
-        n: u64,
-        rec: &StoreRecord,
-        candidates: &[CodeVersion],
-        wkey: WorkloadKey,
-        t0: Instant,
-    ) -> Result<SweepReport, String> {
+    /// Select the fastest pruned version for a `sum-f32` reduction of
+    /// `n` elements: [`Session::run`] on [`Workload::sum`].
+    ///
+    /// # Errors
+    ///
+    /// See [`Session::run`].
+    pub fn select_best(&self, n: u64) -> Result<SweepReport, SimError> {
+        match self.run(&Workload::sum(n))? {
+            RunReport::Reduce(report) => Ok(*report),
+            RunReport::Workload(_) => {
+                Err(SimError::InvalidLaunch("sum-f32 swept as a workload".into()))
+            }
+        }
+    }
+
+    /// Try to answer from a loaded store record without sweeping:
+    /// re-map the record into the live menu, re-synthesize, (when the
+    /// session sanitizes) race-screen it, re-measure at full fidelity,
+    /// and check it against the cpu-ref oracle at the capped size.
+    /// Any failure — including hard simulator errors — returns the
+    /// reason instead, and the caller falls back to a clean cold
+    /// sweep. An accepted record is bit-identical to the cold sweep
+    /// that wrote it, because the measurement is a pure function of
+    /// `(arch, n, candidate, tuning)` and the accepted time bits must
+    /// reproduce exactly.
+    fn confirm_cached(&self, menu: &Menu, n: u64, rec: &StoreRecord) -> Result<Won, String> {
         let tc = Instant::now();
-        let Some((ci, &version)) =
-            candidates.iter().enumerate().find(|(_, v)| v.to_string() == rec.version)
-        else {
+        let Some(c) = menu.find(&rec.version) else {
             return Err(format!(
                 "cached winner `{}` is not in the live candidate set",
                 rec.version
@@ -1063,20 +806,21 @@ impl Session {
         if !BLOCK_SIZES.contains(&rec.block_size) {
             return Err(format!("cached block size {} is outside the sweep space", rec.block_size));
         }
-        if !coarsen_options(version).contains(&rec.coarsen) {
+        if !menu.coarsen(c).contains(&rec.coarsen) {
             return Err(format!(
                 "cached coarsening factor {} is outside the sweep space",
                 rec.coarsen
             ));
         }
         let tuning = Tuning { block_size: rec.block_size, coarsen: rec.coarsen };
-        let sv = synthesize_cached(version, tuning, ReduceOp::Sum)
+        let kernel = menu
+            .synthesize(c, tuning)
             .map_err(|e| format!("cached winner no longer synthesizes: {e}"))?;
 
         // The cold path screens every candidate; a warm run only
         // executes this one, so this one is what gets screened.
         let races = if self.sanitize {
-            match sanitize_candidate(&self.arch, n.min(SANITIZE_N_CAP), ci, version) {
+            match menu.sanitize(&self.arch, n.min(SANITIZE_N_CAP), c) {
                 Ok(Some(cr)) if !cr.is_clean() => {
                     return Err(format!(
                         "cached winner failed the race sanitizer: {}",
@@ -1099,340 +843,9 @@ impl Session {
         let pool = ContextPool::builder(&self.arch, n).opts(&self.opts).build();
         let mut ctx =
             pool.acquire().map_err(|e| format!("confirmation context failed: {e}"))?;
-        let time_ns =
-            ctx.measure(&sv).map_err(|e| format!("confirmation run failed: {e}"))?;
-        if time_ns.to_bits() != rec.time_ns_bits {
-            return Err(format!(
-                "cached time {} ns does not reproduce (measured {} ns)",
-                rec.time_ns(),
-                time_ns
-            ));
-        }
-
-        // Exact-oracle confirmation against cpu-ref: the cached code
-        // must still produce the right answer, not just the right
-        // timing. Like the sanitizer screen, the functional run is
-        // capped: a wrong kernel is wrong at any size, while at tens
-        // of millions of f32 elements the legitimate accumulation-
-        // order error exceeds the oracle tolerance and would poison
-        // every valid record (and a full-n all-blocks run would cost
-        // more than the sweep the cache is meant to skip).
-        let on = n.min(SANITIZE_N_CAP);
-        let oracle = Oracle::new(on);
-        let got = (|| -> Result<f32, SimError> {
-            let mut dev = Device::new(self.arch.clone());
-            dev.set_exec_mode(self.opts.interp);
-            let input = upload(&mut dev, &oracle.data)?;
-            run_reduction(&mut dev, &sv, input, on, BlockSelection::All)
-        })()
-        .map_err(|e| format!("oracle confirmation run failed: {e}"))?;
-        if !oracle.matches(got) {
-            return Err(format!(
-                "cached winner fails the cpu-ref oracle: got {got}, expected {}",
-                oracle.expect
-            ));
-        }
-
-        let tuned = TunedVersion { synthesized: sv, time_ns };
-        let row = SelectionRow {
-            n,
-            version,
-            fig6_label: fig6_label_of(version),
-            block_size: rec.block_size,
-            coarsen: rec.coarsen,
-            time_ns,
-        };
-        let (winner_profile, trace) = if self.profile {
-            let (_, profiles, trace) = ctx
-                .measure_profiled(&tuned.synthesized)
-                .map_err(|e| format!("winner profiling failed: {e}"))?;
-            (profiles.into_iter().next(), Some(trace))
-        } else {
-            (None, None)
-        };
-        pool.release(ctx);
-        let resilience =
-            ResilienceReport { total_jobs: 1, measured: 1, ..ResilienceReport::default() };
-        let rungs = vec![RungStats {
-            rung: "cache-confirm".to_string(),
-            jobs: 1,
-            measured: 1,
-            wall_ms: tc.elapsed().as_secs_f64() * 1e3,
-        }];
-        let metrics = SweepMetrics {
-            arch: self.arch.id.clone(),
-            n,
-            workload: wkey,
-            mode: if self.res.is_some() {
-                format!("resilient-{}", self.opts.sweep.id())
-            } else {
-                self.opts.sweep.id().to_string()
-            },
-            interp: self.opts.interp.id().to_string(),
-            threads: self.opts.threads,
-            rungs,
-            resilience: resilience.clone(),
-            winner: row.clone(),
-            winner_profile,
-            sanitize: races.as_ref().map(|rs| SanitizeSummary {
-                candidates: rs.len(),
-                racy: rs.iter().filter(|r| !r.is_clean()).count(),
-                findings: rs.iter().map(CandidateRaces::findings).sum(),
-                occurrences: rs.iter().map(CandidateRaces::occurrences).sum(),
-            }),
-            store: None, // filled by the caller, which owns the summary
-            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-        };
-        Ok(SweepReport { tuned, row, resilience, metrics, trace, races })
-    }
-
-    /// The non-reduce workload sweep behind [`Session::run`]: sweep
-    /// the six variants over the tuning axes, validate the winner
-    /// against the CPU reference exactly, and (with a store
-    /// configured) warm-start from / write back the persisted winner.
-    fn sweep_workload(&self, w: &Workload) -> Result<WorkloadReport, SimError> {
-        let t0 = Instant::now();
-        let key = w.key;
-        let n = w.n;
-        if n == 0 || n >= (1 << 31) {
-            return Err(SimError::InvalidLaunch(format!(
-                "workload sweeps take 1..2^31 elements, got {n}"
-            )));
-        }
-        let opts = self.opts;
-
-        // Persistent tuning store: same degradation contract as the
-        // reduction path — every failure mode falls back to a clean
-        // cold sweep, recorded in the summary.
-        let mut store_state: Option<(TuningStore, StoreKey)> = None;
-        let mut cache_summary: Option<StoreSummary> = None;
-        if self.cache_mode != CacheMode::Off {
-            if let Some(dir) = &self.cache_dir {
-                let skey = StoreKey::for_workload(&self.arch.id, key, n);
-                let mut summary = StoreSummary {
-                    dir: dir.display().to_string(),
-                    mode: self.cache_mode.id().to_string(),
-                    key: skey.label(),
-                    outcome: "miss".to_string(),
-                    detail: None,
-                    warm: false,
-                    seeded: false,
-                    saved: false,
-                };
-                match TuningStore::open(dir, workload_corpus_fingerprint()) {
-                    Err(e) => {
-                        summary.outcome = "disabled".to_string();
-                        summary.detail = Some(e.to_string());
-                    }
-                    Ok(store) => {
-                        match store.load(&skey) {
-                            Lookup::Hit(rec) if rec.n == n => {
-                                match self.confirm_cached_workload(w, &rec, t0) {
-                                    Ok(mut report) => {
-                                        summary.outcome = "warm".to_string();
-                                        summary.warm = true;
-                                        report.metrics.store = Some(summary);
-                                        return Ok(report);
-                                    }
-                                    Err(reason) => {
-                                        summary.outcome = "invalid".to_string();
-                                        summary.detail = Some(reason);
-                                    }
-                                }
-                            }
-                            Lookup::Hit(rec) => {
-                                summary.detail = Some(format!(
-                                    "bucket record is for n={}, sweep is n={n}",
-                                    rec.n
-                                ));
-                            }
-                            Lookup::Miss => {}
-                            Lookup::Invalid { reason, quarantined } => {
-                                summary.outcome = "invalid".to_string();
-                                summary.detail = Some(match &quarantined {
-                                    Some(q) => {
-                                        format!("{reason}; quarantined to {}", q.display())
-                                    }
-                                    None => reason,
-                                });
-                            }
-                        }
-                        store_state = Some((store, skey));
-                    }
-                }
-                cache_summary = Some(summary);
-            }
-        }
-
-        // Sanitizer screen over the variant corpus (on the oracle
-        // input — histogram hazards are data-dependent). Racy
-        // variants never reach the timing engine.
-        let all_variants = enumerate_variants_for(key.kind);
-        let (variants, races) = if self.sanitize {
-            let sn = n.min(SANITIZE_N_CAP);
-            let mut survivors = Vec::with_capacity(all_variants.len());
-            let mut screened = Vec::with_capacity(all_variants.len());
-            for (i, &variant) in all_variants.iter().enumerate() {
-                match sanitize_workload_variant(&self.arch, sn, key, i, variant)? {
-                    Some(cr) if !cr.is_clean() => screened.push(cr),
-                    Some(cr) => {
-                        survivors.push(variant);
-                        screened.push(cr);
-                    }
-                    None => survivors.push(variant),
-                }
-            }
-            (survivors, Some(screened))
-        } else {
-            (all_variants, None)
-        };
-
-        let pool = ContextPool::builder(&self.arch, n).opts(&opts).build();
-        let (results, rungs) = evaluate_workload(&pool, key, &variants, &opts)?;
-        let total_jobs = results.len();
-        let measured = results.iter().flatten().count();
-        let (infeasible, pruned) = match opts.sweep {
-            SweepMode::Exhaustive => (total_jobs - measured, 0),
-            SweepMode::Halving => {
-                let screened = rungs.first().map_or(0, |r| r.measured);
-                (total_jobs - screened, screened.saturating_sub(measured))
-            }
-        };
-        let best = best_wl_measurement(&results)
-            .ok_or_else(|| SimError::InvalidLaunch("no feasible variant".into()))?;
-
-        // Exact oracle validation of the winner: the variant must
-        // compute the right answer bit-for-bit (packed u64 / per-bin
-        // u32) before it is reported or persisted.
-        let on = n.min(SANITIZE_N_CAP);
-        let check =
-            validate_workload_winner(&self.arch, opts.interp, key, best.variant, best.tuning, on)?;
-        if !check.ok() {
-            return Err(SimError::InvalidLaunch(format!(
-                "workload winner {} fails the cpu-ref oracle at n={on}: device {}, cpu-ref {}",
-                best.variant.id(),
-                check.got.summary(),
-                check.want.summary()
-            )));
-        }
-
-        let row = WorkloadRow {
-            workload: key,
-            n,
-            variant: best.variant.id(),
-            block_size: best.tuning.block_size,
-            coarsen: best.tuning.coarsen,
-            time_ns: best.time_ns,
-        };
-        if let (Some((store, skey)), Some(summary)) = (&store_state, cache_summary.as_mut()) {
-            if self.cache_mode == CacheMode::ReadWrite {
-                let rec = StoreRecord {
-                    key: skey.clone(),
-                    n,
-                    version: row.variant.clone(),
-                    block_size: row.block_size,
-                    coarsen: row.coarsen,
-                    time_ns_bits: row.time_ns.to_bits(),
-                };
-                match store.save(&rec) {
-                    Ok(_) => summary.saved = true,
-                    Err(e) => {
-                        summary.detail = Some(match summary.detail.take() {
-                            Some(d) => format!("{d}; save failed: {e}"),
-                            None => format!("save failed: {e}"),
-                        });
-                    }
-                }
-            }
-        }
-        let metrics = WorkloadMetrics {
-            arch: self.arch.id.clone(),
-            n,
-            workload: key,
-            mode: opts.sweep.id().to_string(),
-            interp: opts.interp.id().to_string(),
-            threads: opts.threads,
-            rungs,
-            total_jobs,
-            measured,
-            pruned,
-            infeasible,
-            sanitize: races.as_ref().map(|rs| SanitizeSummary {
-                candidates: rs.len(),
-                racy: rs.iter().filter(|r| !r.is_clean()).count(),
-                findings: rs.iter().map(CandidateRaces::findings).sum(),
-                occurrences: rs.iter().map(CandidateRaces::occurrences).sum(),
-            }),
-            store: cache_summary,
-            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-        };
-        Ok(WorkloadReport { row, value: check.got, oracle_n: on, races, metrics })
-    }
-
-    /// Try to turn a persisted workload record into a finished
-    /// [`WorkloadReport`] without sweeping — the workload analogue of
-    /// [`Session::confirm_cached`], with the same contract: the
-    /// variant must still exist, the tuning must be in the sweep
-    /// space, the modelled time must reproduce bit-for-bit, and the
-    /// cpu-ref oracle must match exactly. Any failure returns the
-    /// reason and the caller falls back to a clean cold sweep.
-    fn confirm_cached_workload(
-        &self,
-        w: &Workload,
-        rec: &StoreRecord,
-        t0: Instant,
-    ) -> Result<WorkloadReport, String> {
-        let tc = Instant::now();
-        let key = w.key;
-        let n = w.n;
-        let variant: WlVariant = rec
-            .version
-            .parse()
-            .map_err(|e| format!("cached winner is not a live variant: {e}"))?;
-        let Some(ci) = enumerate_variants_for(key.kind).iter().position(|v| *v == variant) else {
-            return Err(format!("cached variant `{}` is not in the live corpus", rec.version));
-        };
-        if !BLOCK_SIZES.contains(&rec.block_size) {
-            return Err(format!("cached block size {} is outside the sweep space", rec.block_size));
-        }
-        if !COARSEN.contains(&rec.coarsen) {
-            return Err(format!(
-                "cached coarsening factor {} is outside the sweep space",
-                rec.coarsen
-            ));
-        }
-        let tuning = Tuning { block_size: rec.block_size, coarsen: rec.coarsen };
-        let sw = synthesize_workload_cached(key, variant, tuning)
-            .map_err(|e| format!("cached winner no longer synthesizes: {e}"))?;
-
-        let races = if self.sanitize {
-            match sanitize_workload_variant(&self.arch, n.min(SANITIZE_N_CAP), key, ci, variant) {
-                Ok(Some(cr)) if !cr.is_clean() => {
-                    return Err(format!(
-                        "cached winner failed the race sanitizer: {}",
-                        cr.summary()
-                    ));
-                }
-                Ok(cr) => Some(cr.into_iter().collect::<Vec<_>>()),
-                Err(e) => {
-                    return Err(format!("sanitizer screen of the cached winner errored: {e}"))
-                }
-            }
-        } else {
-            None
-        };
-
-        // Full-fidelity timing confirmation over the same corpus the
-        // cold sweep times (histogram timing is data-dependent).
-        let pool = ContextPool::builder(&self.arch, n).opts(&self.opts).build();
-        let mut ctx =
-            pool.acquire().map_err(|e| format!("confirmation context failed: {e}"))?;
-        let (tag, make) = workload_corpus(key);
-        ctx.ensure_input(tag, make).map_err(|e| format!("corpus upload failed: {e}"))?;
-        let time_ns = ctx
-            .measure_workload(&sw)
+        let time_ns = kernel
+            .measure(&mut ctx, Fidelity::Full)
             .map_err(|e| format!("confirmation run failed: {e}"))?;
-        pool.release(ctx);
         if time_ns.to_bits() != rec.time_ns_bits {
             return Err(format!(
                 "cached time {} ns does not reproduce (measured {time_ns} ns)",
@@ -1440,74 +853,176 @@ impl Session {
             ));
         }
 
+        // Oracle confirmation: the cached code must still produce the
+        // right answer, not just the right timing. Like the sanitizer
+        // screen, the functional run is capped: a wrong kernel is
+        // wrong at any size, while a full-n all-blocks run would cost
+        // more than the sweep the cache is meant to skip.
         let on = n.min(SANITIZE_N_CAP);
-        let check = validate_workload_winner(&self.arch, self.opts.interp, key, variant, tuning, on)
+        let oracle = menu.oracle(on);
+        let got = oracle
+            .run(&self.arch, self.opts.interp, &kernel)
             .map_err(|e| format!("oracle confirmation run failed: {e}"))?;
-        if !check.ok() {
+        if !oracle.matches(&got) {
             return Err(format!(
                 "cached winner fails the cpu-ref oracle: device {}, cpu-ref {}",
-                check.got.summary(),
-                check.want.summary()
+                got.summary(),
+                oracle.expected()
             ));
         }
-
-        let row = WorkloadRow {
-            workload: key,
-            n,
-            variant: variant.id(),
-            block_size: rec.block_size,
-            coarsen: rec.coarsen,
-            time_ns,
+        let (winner_profile, trace) = if self.profile {
+            let (profile, trace) =
+                kernel.profile(&mut ctx).map_err(|e| format!("winner profiling failed: {e}"))?;
+            (profile, Some(trace))
+        } else {
+            (None, None)
         };
-        let rungs = vec![RungStats {
-            rung: "cache-confirm".to_string(),
-            jobs: 1,
-            measured: 1,
-            wall_ms: tc.elapsed().as_secs_f64() * 1e3,
-        }];
-        let metrics = WorkloadMetrics {
+        pool.release(ctx);
+        Ok(Won {
+            kernel,
+            time_ns,
+            checked: Some((got, on)),
+            rungs: vec![RungStats {
+                rung: "cache-confirm".to_string(),
+                jobs: 1,
+                measured: 1,
+                wall_ms: tc.elapsed().as_secs_f64() * 1e3,
+            }],
+            resilience: ResilienceReport {
+                total_jobs: 1,
+                measured: 1,
+                ..ResilienceReport::default()
+            },
+            races,
+            winner_profile,
+            trace,
+        })
+    }
+
+    /// Shape a finished sweep into its kind's report.
+    fn report(
+        &self,
+        workload: &Workload,
+        won: Won,
+        store: Option<StoreSummary>,
+        t0: Instant,
+    ) -> Result<RunReport, SimError> {
+        let (n, tuning) = (workload.n, won.kernel.tuning());
+        let mode = match self.res {
+            Some(_) => format!("resilient-{}", self.opts.sweep.id()),
+            None => self.opts.sweep.id().to_string(),
+        };
+        let sanitize = won.races.as_ref().map(|rs| SanitizeSummary {
+            candidates: rs.len(),
+            racy: rs.iter().filter(|r| !r.is_clean()).count(),
+            findings: rs.iter().map(CandidateRaces::findings).sum(),
+            occurrences: rs.iter().map(CandidateRaces::occurrences).sum(),
+        });
+        let metrics = SweepMetrics {
             arch: self.arch.id.clone(),
             n,
-            workload: key,
-            mode: self.opts.sweep.id().to_string(),
+            workload: workload.key,
+            mode,
             interp: self.opts.interp.id().to_string(),
             threads: self.opts.threads,
-            rungs,
-            total_jobs: 1,
-            measured: 1,
-            pruned: 0,
-            infeasible: 0,
-            sanitize: races.as_ref().map(|rs| SanitizeSummary {
-                candidates: rs.len(),
-                racy: rs.iter().filter(|r| !r.is_clean()).count(),
-                findings: rs.iter().map(CandidateRaces::findings).sum(),
-                occurrences: rs.iter().map(CandidateRaces::occurrences).sum(),
-            }),
-            store: None, // filled by the caller, which owns the summary
+            rungs: won.rungs,
+            resilience: won.resilience,
+            winner: WinnerRow {
+                id: won.kernel.id(),
+                block_size: tuning.block_size,
+                coarsen: tuning.coarsen,
+                time_ns: won.time_ns,
+            },
+            winner_profile: won.winner_profile,
+            sanitize,
+            store,
             wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         };
-        Ok(WorkloadReport { row, value: check.got, oracle_n: on, races, metrics })
-    }
-
-    /// Sweep the selection over several sizes, merging per-size job
-    /// accounting.
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::select_best`].
-    pub fn selection_table(&self, sizes: &[u64]) -> Result<TableReport, SimError> {
-        let candidates = planner::enumerate_pruned();
-        let mut rows = Vec::with_capacity(sizes.len());
-        let mut metrics = Vec::with_capacity(sizes.len());
-        let mut merged = ResilienceReport::default();
-        for &n in sizes {
-            let report = self.select_best_of(n, &candidates)?;
-            rows.push(report.row);
-            metrics.push(report.metrics);
-            merged.merge(report.resilience);
+        match won.kernel {
+            Kernel::Reduce(sv) => Ok(RunReport::Reduce(Box::new(SweepReport {
+                row: SelectionRow {
+                    n,
+                    version: sv.version,
+                    fig6_label: fig6_label_of(sv.version),
+                    block_size: tuning.block_size,
+                    coarsen: tuning.coarsen,
+                    time_ns: won.time_ns,
+                },
+                tuned: TunedVersion { synthesized: sv, time_ns: won.time_ns },
+                resilience: metrics.resilience.clone(),
+                metrics,
+                trace: won.trace,
+                races: won.races,
+            }))),
+            Kernel::Workload(sw) => {
+                let Some((value, oracle_n)) = won.checked else {
+                    return Err(SimError::InvalidLaunch(format!(
+                        "{} winner was not oracle-checked",
+                        workload.key
+                    )));
+                };
+                Ok(RunReport::Workload(Box::new(WorkloadReport {
+                    row: WorkloadRow {
+                        workload: workload.key,
+                        n,
+                        variant: sw.variant.id(),
+                        block_size: tuning.block_size,
+                        coarsen: tuning.coarsen,
+                        time_ns: won.time_ns,
+                    },
+                    value,
+                    oracle_n,
+                    races: won.races,
+                    metrics,
+                    trace: won.trace,
+                })))
+            }
         }
-        Ok(TableReport { rows, resilience: merged, metrics })
     }
+}
+
+/// A finished sweep (cold or warm) before it is shaped into its
+/// kind's report.
+struct Won {
+    kernel: Kernel,
+    time_ns: f64,
+    /// The winner's oracle-checked output and the size it ran at.
+    checked: Option<(WorkloadValue, u64)>,
+    rungs: Vec<RungStats>,
+    resilience: ResilienceReport,
+    races: Option<Vec<CandidateRaces>>,
+    winner_profile: Option<LaunchProfile>,
+    trace: Option<Trace>,
+}
+
+/// Split the sanitizer screen's racy candidates off `menu`: the live
+/// menu without them, plus one [`QuarantineReason::Race`] job each.
+fn quarantine_racy(menu: &Menu, screened: &[CandidateRaces]) -> (Menu, Vec<JobReport>) {
+    let mut keep = vec![true; menu.len()];
+    let mut racy = Vec::new();
+    for cr in screened.iter().filter(|cr| !cr.is_clean()) {
+        keep[cr.candidate] = false;
+        racy.push(JobReport {
+            candidate: cr.candidate,
+            version: cr.version.clone(),
+            block_size: cr.block_size,
+            coarsen: cr.coarsen,
+            attempts: 1,
+            faults_injected: 0,
+            faults_detected: 0,
+            measured: false,
+            quarantined: Some(QuarantineReason::Race(cr.summary())),
+        });
+    }
+    (menu.retain(&keep), racy)
+}
+
+/// Append `note` to a store summary's detail (`; `-separated).
+fn append_detail(s: &mut StoreSummary, note: String) {
+    s.detail = Some(match s.detail.take() {
+        Some(d) => format!("{d}; {note}"),
+        None => note,
+    });
 }
 
 #[cfg(test)]
@@ -1535,19 +1050,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_answer() {
-        // The 0.1 entry points stay callable (and correct) until
-        // removal; everything else in the tree goes through `run`.
-        let mut r = Reducer::new(ArchConfig::kepler_k40c());
-        let data: Vec<f32> = (0..4096).map(|i| (i % 9) as f32).collect();
-        assert_eq!(r.sum(&data).unwrap().value, data.iter().sum::<f32>());
-        assert_eq!(r.max(&data).unwrap().value, 8.0);
-        assert_eq!(r.min(&data).unwrap().value, 0.0);
-        assert_eq!(r.reduce(&data, ReduceOp::Max).unwrap().value, 8.0);
-    }
-
-    #[test]
     fn reducer_runs_argmax_and_argmin_against_cpu_ref() {
         let mut r = Reducer::new(ArchConfig::maxwell_gtx980());
         let mut data: Vec<f32> = (0..6000).map(|i| ((i % 13) as f32) - 6.0).collect();
@@ -1558,7 +1060,7 @@ mod tests {
         let bottom = r.run(WorkloadKey::argmin(), &data).unwrap();
         assert_eq!(bottom.value.arg_index(), Some(4321));
         // Same bucket, same key: the swept (variant, tuning) is reused.
-        assert!(r.wl_cache.len() >= 2);
+        assert!(r.cache.len() >= 2);
         let again = r.run(WorkloadKey::argmax(), &data).unwrap();
         assert_eq!(again.version, top.version);
     }
@@ -1584,15 +1086,15 @@ mod tests {
     }
 
     #[test]
-    fn session_selection_matches_free_functions_bitwise() {
+    fn profiled_session_matches_unprofiled_bitwise() {
         let arch = ArchConfig::maxwell_gtx980();
         let opts = EvalOptions::serial();
-        let (_, free_row) = crate::select::select_best_with(&arch, 16_384, &opts).unwrap();
+        let plain = Session::new(arch.clone()).eval(opts).select_best(16_384).unwrap().row;
         let session = Session::new(arch).eval(opts).profiled(true);
         let rep = session.select_best(16_384).unwrap();
-        assert_eq!(rep.row.version, free_row.version);
-        assert_eq!(rep.row.block_size, free_row.block_size);
-        assert_eq!(rep.row.time_ns.to_bits(), free_row.time_ns.to_bits());
+        assert_eq!(rep.row.version, plain.version);
+        assert_eq!(rep.row.block_size, plain.block_size);
+        assert_eq!(rep.row.time_ns.to_bits(), plain.time_ns.to_bits());
         // Profiling attaches counters and a trace without touching
         // the selection.
         let profile = rep.metrics.winner_profile.as_ref().expect("profiled session");
@@ -1645,43 +1147,29 @@ mod tests {
     }
 
     #[test]
-    fn session_table_merges_reports() {
-        let session =
-            Session::new(ArchConfig::kepler_k40c()).eval(EvalOptions::serial());
-        let table = session.selection_table(&[1024, 4096]).unwrap();
-        assert_eq!(table.rows.len(), 2);
-        assert_eq!(table.metrics.len(), 2);
-        let per_size: usize = table.metrics.iter().map(|m| m.resilience.total_jobs).sum();
-        assert_eq!(table.resilience.total_jobs, per_size);
+    fn per_size_reports_merge() {
+        let session = Session::new(ArchConfig::kepler_k40c()).eval(EvalOptions::serial());
+        let mut merged = ResilienceReport::default();
+        let mut per_size = 0;
+        for n in [1024, 4096] {
+            let rep = session.select_best(n).unwrap();
+            per_size += rep.metrics.resilience.total_jobs;
+            merged.merge(rep.resilience);
+        }
+        assert_eq!(merged.total_jobs, per_size);
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn winner_is_reported_with_label() {
-        let mut r = Reducer::new(ArchConfig::maxwell_gtx980());
-        let data = vec![1.0f32; 4096];
-        let res = r.sum(&data).unwrap();
-        assert_eq!(res.value, 4096.0);
-        assert!(res.fig6_label.is_some(), "winners come from the Fig. 6 set");
-        assert!(res.time_ns > 0.0);
-    }
-
-    #[test]
-    fn session_run_dispatches_reduce_and_workload_paths() {
+    fn session_run_reports_reduce_and_workload_kinds() {
         let arch = ArchConfig::maxwell_gtx980();
         let session = Session::new(arch.clone()).eval(EvalOptions::serial());
-        // Reduce workloads route through the classic selection sweep.
+        // Reduce workloads report the classic selection row.
         let reduce = session.run(&Workload::sum(16_384)).unwrap();
-        let classic = Session::new(arch)
-            .eval(EvalOptions::serial())
-            .select_best(16_384)
-            .unwrap();
+        let classic = Session::new(arch).eval(EvalOptions::serial()).select_best(16_384).unwrap();
         let rep = reduce.as_reduce().expect("sum is a reduce workload");
         assert_eq!(rep.row.version, classic.row.version);
         assert_eq!(rep.row.time_ns.to_bits(), classic.row.time_ns.to_bits());
-        // Non-reduce workloads route through the workload sweep and
-        // report an oracle-validated winner.
-        let session = Session::new(ArchConfig::maxwell_gtx980()).eval(EvalOptions::serial());
+        // Non-reduce workloads report an oracle-validated winner.
         let arg = session.run(&Workload::argmax(16_384)).unwrap();
         let wrep = arg.as_workload().expect("argmax is a workload sweep");
         assert!(wrep.row.time_ns > 0.0);
@@ -1718,6 +1206,56 @@ mod tests {
         assert_eq!(warm.row.time_ns.to_bits(), cold.row.time_ns.to_bits());
         assert_eq!(warm.value, cold.value);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn workload_sweeps_quarantine_bad_records_and_racy_variants() {
+        // A workload record that no longer confirms (its time bits do
+        // not reproduce) leaves a CacheInvalid event and falls back
+        // to the cold winner.
+        let dir = std::env::temp_dir()
+            .join(format!("tangram-wl-invalid-{}-{}", std::process::id(), line!()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let session =
+            Session::new(ArchConfig::kepler_k40c()).eval(EvalOptions::serial()).store(&dir);
+        let w = Workload::segsum(4_096);
+        let cold = session.run(&w).unwrap();
+        let store = TuningStore::open(&dir, Menu::for_key(w.key).fingerprint()).unwrap();
+        let key = StoreKey::for_workload("kepler", w.key, w.n);
+        let Lookup::Hit(mut rec) = store.load(&key) else { panic!("cold sweep saved no record") };
+        rec.time_ns_bits ^= 1;
+        store.save(&rec).unwrap();
+        let fallback = session.run(&w).unwrap();
+        assert_eq!(fallback.metrics().store.as_ref().map(|s| s.outcome.as_str()), Some("invalid"));
+        assert!(
+            fallback
+                .metrics()
+                .resilience
+                .events
+                .iter()
+                .any(|e| matches!(e.quarantined, Some(QuarantineReason::CacheInvalid(_)))),
+            "got {:?}",
+            fallback.metrics().resilience.events
+        );
+        assert_eq!(fallback.winner_id(), cold.winner_id());
+        assert_eq!(fallback.time_ns().to_bits(), cold.time_ns().to_bits());
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // A variant the sanitizer flags leaves a Race event and drops
+        // off the live menu.
+        let arch = ArchConfig::kepler_k40c();
+        let menu = Menu::for_key(WorkloadKey::argmax());
+        let mut screened: Vec<CandidateRaces> =
+            (0..menu.len()).filter_map(|c| menu.sanitize(&arch, 1_024, c).unwrap()).collect();
+        let racy = gpu_sim::negative_corpus().into_iter().next().unwrap();
+        let report = gpu_sim::run_negative(&arch, gpu_sim::ExecMode::default(), &racy).unwrap();
+        screened[1].reports = vec![report];
+        let (live, jobs) = quarantine_racy(&menu, &screened);
+        assert_eq!(jobs.len(), 1);
+        assert_eq!((jobs[0].candidate, jobs[0].version.clone()), (1, menu.id(1)));
+        assert!(matches!(jobs[0].quarantined, Some(QuarantineReason::Race(_))));
+        assert_eq!(live.len(), menu.len() - 1);
+        assert_eq!(live.find(&menu.id(1)), None);
     }
 
     #[test]

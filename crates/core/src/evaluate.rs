@@ -39,10 +39,10 @@ use std::time::Instant;
 use gpu_sim::{ArchConfig, ExecMode, SimError};
 use parking_lot::Mutex;
 use serde::Serialize;
-use tangram_codegen::{synthesize_cached, SynthesizedVersion, Tuning};
+use tangram_codegen::{SynthesizedVersion, Tuning};
 use tangram_passes::planner::{BlockOp, CodeVersion};
-use tangram_passes::specialize::ReduceOp;
 
+use crate::menu::{Kernel, Menu};
 use crate::tuner::{BenchContext, BLOCK_SIZES, COARSEN};
 
 /// How a sweep explores the tuning space.
@@ -83,7 +83,7 @@ impl std::str::FromStr for SweepMode {
     }
 }
 
-/// A warm-start hint for a halving sweep: a `(version, tuning)` pair
+/// A warm-start hint for a halving sweep: a `(candidate, tuning)` job
 /// believed (not trusted) to be the winner — typically the nearest
 /// cached n-bucket's record from the tuning store.
 ///
@@ -97,8 +97,8 @@ impl std::str::FromStr for SweepMode {
 /// [`TuningStore::load_nearest`](crate::store::TuningStore::load_nearest).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeedHint {
-    /// The hinted winning code version.
-    pub version: CodeVersion,
+    /// Index of the hinted winner in the sweep's candidate list.
+    pub candidate: usize,
     /// The hinted winning tuning.
     pub tuning: Tuning,
 }
@@ -191,7 +191,8 @@ pub fn coarsen_options(version: CodeVersion) -> &'static [u32] {
     }
 }
 
-/// One completed measurement.
+/// One completed measurement of a reduction sweep (the shape
+/// [`crate::resilience::evaluate_all_report`] reports).
 #[derive(Debug, Clone)]
 pub struct Measurement {
     /// Index of the version in the candidate slice.
@@ -206,19 +207,46 @@ pub struct Measurement {
     pub synthesized: Arc<SynthesizedVersion>,
 }
 
+/// One completed measurement of any menu's sweep.
+#[derive(Debug, Clone)]
+pub(crate) struct Measured {
+    pub(crate) candidate: usize,
+    pub(crate) tuning: Tuning,
+    pub(crate) time_ns: f64,
+    pub(crate) kernel: Kernel,
+}
+
+impl Measured {
+    /// The public reduction view; `None` for variant kernels.
+    pub(crate) fn into_measurement(self) -> Option<Measurement> {
+        match self.kernel {
+            Kernel::Reduce(sv) => Some(Measurement {
+                candidate: self.candidate,
+                version: sv.version,
+                tuning: self.tuning,
+                time_ns: self.time_ns,
+                synthesized: sv,
+            }),
+            Kernel::Workload(_) => None,
+        }
+    }
+}
+
+/// One job of a sweep: a menu candidate at one tuning.
 #[derive(Clone, Copy)]
 pub(crate) struct Job {
     pub(crate) candidate: usize,
-    pub(crate) version: CodeVersion,
     pub(crate) tuning: Tuning,
 }
 
-pub(crate) fn jobs_for(candidates: &[CodeVersion]) -> Vec<Job> {
+/// The canonical job enumeration: candidate-major, then
+/// [`BLOCK_SIZES`], then the candidate's coarsening factors.
+pub(crate) fn jobs_for(menu: &Menu) -> Vec<Job> {
     let mut jobs = Vec::new();
-    for (candidate, &version) in candidates.iter().enumerate() {
+    for candidate in 0..menu.len() {
         for &block_size in &BLOCK_SIZES {
-            for &coarsen in coarsen_options(version) {
-                jobs.push(Job { candidate, version, tuning: Tuning { block_size, coarsen } });
+            for &coarsen in menu.coarsen(candidate) {
+                jobs.push(Job { candidate, tuning: Tuning { block_size, coarsen } });
             }
         }
     }
@@ -238,24 +266,17 @@ pub(crate) enum Fidelity {
 /// (synthesis failure or a launch exceeding hardware limits).
 pub(crate) fn measure_job(
     ctx: &mut BenchContext,
+    menu: &Menu,
     job: Job,
     fidelity: Fidelity,
-) -> Result<Option<Measurement>, SimError> {
-    let Ok(sv) = synthesize_cached(job.version, job.tuning, ReduceOp::Sum) else {
+) -> Result<Option<Measured>, SimError> {
+    let Ok(kernel) = menu.synthesize(job.candidate, job.tuning) else {
         return Ok(None);
     };
-    let measured = match fidelity {
-        Fidelity::Full => ctx.measure(&sv),
-        Fidelity::Screen => ctx.measure_screen(&sv),
-    };
-    match measured {
-        Ok(time_ns) => Ok(Some(Measurement {
-            candidate: job.candidate,
-            version: job.version,
-            tuning: job.tuning,
-            time_ns,
-            synthesized: sv,
-        })),
+    match kernel.measure(ctx, fidelity) {
+        Ok(time_ns) => {
+            Ok(Some(Measured { candidate: job.candidate, tuning: job.tuning, time_ns, kernel }))
+        }
         Err(SimError::InvalidLaunch(_)) => Ok(None),
         Err(e) => Err(e),
     }
@@ -295,7 +316,7 @@ impl RungStats {
 /// A checkout pool of [`BenchContext`]s for one `(arch, n)` sweep.
 ///
 /// Workers acquire a context for their lifetime and return it on
-/// exit, so a pool that outlives one [`evaluate_all`] call (e.g.
+/// exit, so a pool that outlives one sweep (e.g.
 /// across the candidate batches of a figure) amortizes the device and
 /// input allocations instead of repaying them per batch.
 #[derive(Debug)]
@@ -415,12 +436,11 @@ impl ContextPoolBuilder {
 }
 
 /// Fan `jobs` over `threads` workers, applying `f` to each with a
-/// pooled context. This is the one scheduling core every sweep flavor
-/// (exhaustive, screening rung, survivor rung, resilient, and the
-/// non-reduce workload sweeps — hence the generic job type) shares:
-/// a shared atomic index hands jobs out in canonical order, results
-/// land in per-job slots, and the first hard error (by canonical
-/// index) aborts — exactly what the serial loop would have reported.
+/// pooled context. This is the one scheduling core every rung
+/// (exhaustive, screening, survivor, resilient) shares: a shared
+/// atomic index hands jobs out in canonical order, results land in
+/// per-job slots, and the first hard error (by canonical index)
+/// aborts — exactly what the serial loop would have reported.
 pub(crate) fn run_jobs_with<J, T, F>(
     pool: &ContextPool,
     jobs: &[J],
@@ -499,9 +519,8 @@ const HALVING_KEEP_DENOM: usize = 8;
 
 /// Keep mask of every candidate's own screen-best job, so each
 /// candidate's tuning winner reaches full fidelity. `candidates[i]`
-/// is job `i`'s candidate index — indices instead of [`Job`]s so the
-/// non-reduce workload sweeps share the mask. Ties break toward the
-/// earlier canonical index, matching [`best_measurement`].
+/// is job `i`'s candidate index. Ties break toward the earlier
+/// canonical index, matching [`best_measurement`].
 pub(crate) fn candidate_best_mask(
     candidates: &[usize],
     screen_times: &[Option<f64>],
@@ -545,14 +564,15 @@ pub(crate) fn survivor_mask(candidates: &[usize], screen_times: &[Option<f64>]) 
 /// results back into a full-length slot vector.
 fn measure_subset(
     pool: &ContextPool,
+    menu: &Menu,
     jobs: &[Job],
     indices: &[usize],
     threads: usize,
-    out: &mut [Option<Measurement>],
+    out: &mut [Option<Measured>],
 ) -> Result<usize, SimError> {
     let subset: Vec<Job> = indices.iter().map(|&i| jobs[i]).collect();
     let full = run_jobs_with(pool, &subset, threads, &|ctx, job| {
-        measure_job(ctx, job, Fidelity::Full)
+        measure_job(ctx, menu, job, Fidelity::Full)
     })?;
     let mut measured = 0;
     for (&i, m) in indices.iter().zip(full) {
@@ -573,18 +593,20 @@ fn measure_subset(
 /// rung and the ordinary winner.
 fn evaluate_halving(
     pool: &ContextPool,
+    menu: &Menu,
     jobs: &[Job],
     threads: usize,
     seed: Option<usize>,
-) -> Result<(Vec<Option<Measurement>>, Vec<RungStats>), SimError> {
+) -> Result<(Vec<Option<Measured>>, Vec<RungStats>), SimError> {
     let t0 = Instant::now();
-    let screen =
-        run_jobs_with(pool, jobs, threads, &|ctx, job| measure_job(ctx, job, Fidelity::Screen))?;
+    let screen = run_jobs_with(pool, jobs, threads, &|ctx, job| {
+        measure_job(ctx, menu, job, Fidelity::Screen)
+    })?;
     let screen_stats = RungStats::tally("screen", jobs.len(), &screen, t0);
     let times: Vec<Option<f64>> = screen.iter().map(|m| m.as_ref().map(|m| m.time_ns)).collect();
     let cand_of: Vec<usize> = jobs.iter().map(|j| j.candidate).collect();
 
-    let mut out: Vec<Option<Measurement>> = Vec::new();
+    let mut out: Vec<Option<Measured>> = Vec::new();
     out.resize_with(jobs.len(), || None);
     let mut rungs = vec![screen_stats];
 
@@ -594,15 +616,16 @@ fn evaluate_halving(
             keep[si] = true;
             let seeded: Vec<usize> = (0..jobs.len()).filter(|&i| keep[i]).collect();
             let t1 = Instant::now();
-            let measured = measure_subset(pool, jobs, &seeded, threads, &mut out)?;
+            let measured = measure_subset(pool, menu, jobs, &seeded, threads, &mut out)?;
             rungs.push(RungStats {
                 rung: "seeded".to_string(),
                 jobs: seeded.len(),
                 measured,
                 wall_ms: t1.elapsed().as_secs_f64() * 1e3,
             });
-            let confirmed = best_measurement(&out)
-                .is_some_and(|m| m.version == jobs[si].version && m.tuning == jobs[si].tuning);
+            let confirmed = first_fastest(&out, |m| m.time_ns).is_some_and(|m| {
+                m.candidate == jobs[si].candidate && m.tuning == jobs[si].tuning
+            });
             if confirmed {
                 return Ok((out, rungs));
             }
@@ -620,7 +643,7 @@ fn evaluate_halving(
     }
     let surviving: Vec<usize> = (0..jobs.len()).filter(|&i| keep[i]).collect();
     let t1 = Instant::now();
-    let measured = measure_subset(pool, jobs, &surviving, threads, &mut out)?;
+    let measured = measure_subset(pool, menu, jobs, &surviving, threads, &mut out)?;
     rungs.push(RungStats {
         rung: "survivor".to_string(),
         jobs: surviving.len(),
@@ -630,59 +653,46 @@ fn evaluate_halving(
     Ok((out, rungs))
 }
 
-/// Measure every candidate tuning of the sweep, fanning jobs over
-/// `opts.threads` workers.
+/// Measure every job of `menu`'s sweep, fanning jobs over
+/// `opts.threads` workers, plus one [`RungStats`] per fan-out rung
+/// (one for exhaustive sweeps; screen, optionally seeded, and
+/// survivor for halving).
 ///
 /// The returned vector has one slot per job in canonical enumeration
 /// order; `None` marks infeasible combinations (and, under
 /// [`SweepMode::Halving`], jobs pruned at the screening rung). The
 /// slot layout (and every value in it) is identical for any thread
-/// count; every `Some` slot is a full-fidelity measurement.
+/// count; every `Some` slot is a full-fidelity measurement. Only the
+/// wall-clock fields of the stats are nondeterministic.
 ///
 /// # Errors
 ///
 /// Propagates the first hard simulator error in canonical job order.
 /// Infeasible jobs ([`SimError::InvalidLaunch`] and synthesis
 /// failures) are recorded as `None`, not errors.
-pub fn evaluate_all(
+pub(crate) fn evaluate(
     pool: &ContextPool,
-    candidates: &[CodeVersion],
+    menu: &Menu,
     opts: &EvalOptions,
-) -> Result<Vec<Option<Measurement>>, SimError> {
-    evaluate_all_timed(pool, candidates, opts).map(|(results, _)| results)
-}
-
-/// [`evaluate_all`] plus per-rung accounting: one [`RungStats`] per
-/// fan-out rung (one for exhaustive sweeps, screen + survivor for
-/// halving). The measurement slots are exactly [`evaluate_all`]'s;
-/// only the wall-clock fields of the stats are nondeterministic.
-///
-/// # Errors
-///
-/// See [`evaluate_all`].
-pub fn evaluate_all_timed(
-    pool: &ContextPool,
-    candidates: &[CodeVersion],
-    opts: &EvalOptions,
-) -> Result<(Vec<Option<Measurement>>, Vec<RungStats>), SimError> {
-    let jobs = jobs_for(candidates);
+) -> Result<(Vec<Option<Measured>>, Vec<RungStats>), SimError> {
+    let jobs = jobs_for(menu);
     match opts.sweep {
         SweepMode::Exhaustive => {
             let t0 = Instant::now();
             let results = run_jobs_with(pool, &jobs, opts.threads, &|ctx, job| {
-                measure_job(ctx, job, Fidelity::Full)
+                measure_job(ctx, menu, job, Fidelity::Full)
             })?;
             let stats = RungStats::tally("full", jobs.len(), &results, t0);
             Ok((results, vec![stats]))
         }
         SweepMode::Halving => {
             // Resolve the hint against the actual sweep space; a hint
-            // naming a job that does not exist (foreign corpus, wrong
-            // coarsen set) silently degrades to an unseeded sweep.
+            // naming a job that does not exist silently degrades to
+            // an unseeded sweep.
             let seed = opts.seed.and_then(|s| {
-                jobs.iter().position(|j| j.version == s.version && j.tuning == s.tuning)
+                jobs.iter().position(|j| j.candidate == s.candidate && j.tuning == s.tuning)
             });
-            evaluate_halving(pool, &jobs, opts.threads, seed)
+            evaluate_halving(pool, menu, &jobs, opts.threads, seed)
         }
     }
 }
@@ -697,9 +707,14 @@ fn record_err(first_err: &Mutex<Option<(usize, SimError)>>, i: usize, e: SimErro
 /// The sweep winner: the first canonical slot strictly faster than
 /// everything after it — the serial loop's exact tie-break.
 pub fn best_measurement(results: &[Option<Measurement>]) -> Option<&Measurement> {
-    let mut best: Option<&Measurement> = None;
+    first_fastest(results, |m| m.time_ns)
+}
+
+/// [`best_measurement`] over any slot type.
+pub(crate) fn first_fastest<T>(results: &[Option<T>], time_ns: impl Fn(&T) -> f64) -> Option<&T> {
+    let mut best: Option<&T> = None;
     for m in results.iter().flatten() {
-        if best.is_none_or(|b| m.time_ns < b.time_ns) {
+        if best.is_none_or(|b| time_ns(m) < time_ns(b)) {
             best = Some(m);
         }
     }
@@ -710,47 +725,66 @@ pub fn best_measurement(results: &[Option<Measurement>]) -> Option<&Measurement>
 mod tests {
     use super::*;
     use tangram_passes::planner;
+    use tangram_passes::workload::WorkloadKey;
 
-    fn candidates() -> Vec<CodeVersion> {
-        planner::fig6_best()
+    fn menu() -> Menu {
+        let cands: Vec<CodeVersion> = planner::fig6_best()
             .into_iter()
             .take(4)
             .map(|l| planner::fig6_by_label(l).unwrap())
-            .collect()
+            .collect();
+        Menu::of_versions(&cands)
+    }
+
+    fn best(results: &[Option<Measured>]) -> &Measured {
+        first_fastest(results, |m| m.time_ns).expect("a feasible job")
+    }
+
+    /// Same slot layout, and every measured slot bit-identical.
+    fn assert_same_slots(a: &[Option<Measured>], b: &[Option<Measured>], ctx: &str) {
+        assert_eq!(a.len(), b.len(), "{ctx}");
+        for (x, y) in a.iter().zip(b) {
+            match (x, y) {
+                (None, None) => {}
+                (Some(x), Some(y)) => {
+                    assert_eq!(x.tuning, y.tuning, "{ctx}");
+                    assert_eq!(x.time_ns.to_bits(), y.time_ns.to_bits(), "{ctx}");
+                }
+                _ => panic!("feasibility or survivor set differs: {ctx}"),
+            }
+        }
+    }
+
+    fn assert_same_winner(a: &Measured, b: &Measured, ctx: &str) {
+        assert_eq!(a.candidate, b.candidate, "{ctx}");
+        assert_eq!(a.tuning, b.tuning, "{ctx}");
+        assert_eq!(a.time_ns.to_bits(), b.time_ns.to_bits(), "{ctx}");
     }
 
     #[test]
     fn canonical_order_is_candidate_major() {
-        let cands = candidates();
-        let jobs = jobs_for(&cands);
-        let per_candidate: usize = BLOCK_SIZES.len() * coarsen_options(cands[0]).len();
+        let reduce = menu();
+        let jobs = jobs_for(&reduce);
+        let per_candidate: usize = BLOCK_SIZES.len() * reduce.coarsen(0).len();
         assert_eq!(jobs[0].candidate, 0);
         assert_eq!(jobs[per_candidate].candidate, 1);
+        assert!(jobs.windows(2).all(|w| w[0].candidate <= w[1].candidate));
+        // Variant menus sweep every coarsening factor.
+        let variants = Menu::for_key(WorkloadKey::argmax());
+        let jobs = jobs_for(&variants);
+        assert_eq!(jobs.len(), variants.len() * BLOCK_SIZES.len() * COARSEN.len());
         assert!(jobs.windows(2).all(|w| w[0].candidate <= w[1].candidate));
     }
 
     #[test]
     fn thread_counts_agree_bitwise() {
         let arch = ArchConfig::maxwell_gtx980();
-        let cands = candidates();
+        let menu = menu();
         let pool = ContextPool::new(&arch, 65_536);
-        let serial = evaluate_all(&pool, &cands, &EvalOptions::serial()).unwrap();
-        let parallel = evaluate_all(&pool, &cands, &EvalOptions::with_threads(4)).unwrap();
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            match (s, p) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.tuning, b.tuning);
-                    assert_eq!(a.time_ns.to_bits(), b.time_ns.to_bits());
-                }
-                _ => panic!("feasibility differs between thread counts"),
-            }
-        }
-        let (bs, bp) = (best_measurement(&serial).unwrap(), best_measurement(&parallel).unwrap());
-        assert_eq!(bs.version, bp.version);
-        assert_eq!(bs.tuning, bp.tuning);
-        assert_eq!(bs.time_ns.to_bits(), bp.time_ns.to_bits());
+        let (serial, _) = evaluate(&pool, &menu, &EvalOptions::serial()).unwrap();
+        let (parallel, _) = evaluate(&pool, &menu, &EvalOptions::with_threads(4)).unwrap();
+        assert_same_slots(&serial, &parallel, "threads 1 vs 4");
+        assert_same_winner(best(&serial), best(&parallel), "threads 1 vs 4");
     }
 
     #[test]
@@ -778,15 +812,15 @@ mod tests {
 
     #[test]
     fn survivor_mask_keeps_every_candidate_best() {
-        let cands = candidates();
-        let jobs = jobs_for(&cands);
+        let menu = menu();
+        let jobs = jobs_for(&menu);
         // Synthetic screen: strictly increasing times, so the global
         // top eighth is a prefix — later candidates survive only via
         // their per-candidate best.
         let times: Vec<Option<f64>> = (0..jobs.len()).map(|i| Some(i as f64)).collect();
         let cand_of: Vec<usize> = jobs.iter().map(|j| j.candidate).collect();
         let keep = survivor_mask(&cand_of, &times);
-        for c in 0..cands.len() {
+        for c in 0..menu.len() {
             let best = jobs
                 .iter()
                 .enumerate()
@@ -803,55 +837,55 @@ mod tests {
 
     #[test]
     fn halving_survivors_are_bitwise_exhaustive_measurements() {
-        let arch = ArchConfig::maxwell_gtx980();
-        let cands = candidates();
-        let pool = ContextPool::new(&arch, 65_536);
-        let exhaustive = evaluate_all(&pool, &cands, &EvalOptions::serial()).unwrap();
-        let halving = evaluate_all(
-            &pool,
-            &cands,
-            &EvalOptions::serial().with_sweep(SweepMode::Halving),
-        )
-        .unwrap();
-        assert_eq!(exhaustive.len(), halving.len());
-        let mut pruned = 0usize;
-        for (e, h) in exhaustive.iter().zip(&halving) {
-            match (e, h) {
-                (_, None) => pruned += 1,
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.tuning, b.tuning);
-                    assert_eq!(
-                        a.time_ns.to_bits(),
-                        b.time_ns.to_bits(),
-                        "surviving jobs must re-measure at full fidelity"
-                    );
+        // The full pruned corpus on every paper architecture, plus a
+        // variant menu whose timings depend on the data.
+        let pruned = Menu::of_versions(&planner::enumerate_pruned());
+        let mut cases: Vec<(ArchConfig, Menu, u64)> = ArchConfig::paper_archs()
+            .into_iter()
+            .map(|arch| (arch, pruned.clone(), 65_536))
+            .collect();
+        cases.push((
+            ArchConfig::maxwell_gtx980(),
+            Menu::for_key(WorkloadKey::histogram(64)),
+            16_384,
+        ));
+        for (arch, menu, n) in cases {
+            let pool = ContextPool::new(&arch, n);
+            let (exhaustive, _) = evaluate(&pool, &menu, &EvalOptions::default()).unwrap();
+            let halving_opts = EvalOptions::default().with_sweep(SweepMode::Halving);
+            let (halving, _) = evaluate(&pool, &menu, &halving_opts).unwrap();
+            assert_eq!(exhaustive.len(), halving.len());
+            let mut pruned = 0usize;
+            for (e, h) in exhaustive.iter().zip(&halving) {
+                match (e, h) {
+                    (_, None) => pruned += 1,
+                    (Some(a), Some(b)) => {
+                        assert_eq!(a.tuning, b.tuning);
+                        assert_eq!(
+                            a.time_ns.to_bits(),
+                            b.time_ns.to_bits(),
+                            "surviving jobs must re-measure at full fidelity"
+                        );
+                    }
+                    (None, Some(_)) => panic!("halving measured an infeasible job"),
                 }
-                (None, Some(_)) => panic!("halving measured an infeasible job"),
             }
+            assert!(pruned > 0, "halving must prune part of the space");
+            assert_same_winner(best(&exhaustive), best(&halving), "halving must keep the winner");
         }
-        assert!(pruned > 0, "halving must prune part of the space");
-        let (be, bh) =
-            (best_measurement(&exhaustive).unwrap(), best_measurement(&halving).unwrap());
-        assert_eq!(be.version, bh.version, "halving must keep the winner");
-        assert_eq!(be.tuning, bh.tuning);
-        assert_eq!(be.time_ns.to_bits(), bh.time_ns.to_bits());
     }
 
     #[test]
     fn seeded_halving_with_true_winner_confirms_without_survivor_rung() {
         let arch = ArchConfig::maxwell_gtx980();
-        let cands = candidates();
+        let menu = menu();
         let pool = ContextPool::new(&arch, 65_536);
         let opts = EvalOptions::serial().with_sweep(SweepMode::Halving);
-        let (plain, plain_rungs) = evaluate_all_timed(&pool, &cands, &opts).unwrap();
-        let winner = best_measurement(&plain).unwrap();
-        let hint = SeedHint { version: winner.version, tuning: winner.tuning };
-        let (seeded, rungs) =
-            evaluate_all_timed(&pool, &cands, &opts.with_seed(Some(hint))).unwrap();
-        let sw = best_measurement(&seeded).unwrap();
-        assert_eq!(sw.version, winner.version);
-        assert_eq!(sw.tuning, winner.tuning);
-        assert_eq!(sw.time_ns.to_bits(), winner.time_ns.to_bits());
+        let (plain, plain_rungs) = evaluate(&pool, &menu, &opts).unwrap();
+        let winner = best(&plain);
+        let hint = SeedHint { candidate: winner.candidate, tuning: winner.tuning };
+        let (seeded, rungs) = evaluate(&pool, &menu, &opts.with_seed(Some(hint))).unwrap();
+        assert_same_winner(best(&seeded), winner, "true seed");
         assert_eq!(rungs.len(), 2, "a confirming seed skips the survivor rung");
         assert_eq!(rungs[1].rung, "seeded");
         assert!(
@@ -865,24 +899,20 @@ mod tests {
     #[test]
     fn seeded_halving_with_wrong_seed_falls_back_to_same_winner() {
         let arch = ArchConfig::pascal_p100();
-        let cands = candidates();
+        let menu = menu();
         let pool = ContextPool::new(&arch, 32_768);
         let opts = EvalOptions::serial().with_sweep(SweepMode::Halving);
-        let (plain, _) = evaluate_all_timed(&pool, &cands, &opts).unwrap();
-        let winner = best_measurement(&plain).unwrap();
+        let (plain, _) = evaluate(&pool, &menu, &opts).unwrap();
+        let winner = best(&plain);
         // A deliberately wrong hint: a feasible non-winning job.
         let wrong = plain
             .iter()
             .flatten()
-            .find(|m| m.version != winner.version || m.tuning != winner.tuning)
+            .find(|m| m.candidate != winner.candidate || m.tuning != winner.tuning)
             .expect("sweep has more than one measured job");
-        let hint = SeedHint { version: wrong.version, tuning: wrong.tuning };
-        let (seeded, rungs) =
-            evaluate_all_timed(&pool, &cands, &opts.with_seed(Some(hint))).unwrap();
-        let sw = best_measurement(&seeded).unwrap();
-        assert_eq!(sw.version, winner.version, "a wrong seed must not change the winner");
-        assert_eq!(sw.tuning, winner.tuning);
-        assert_eq!(sw.time_ns.to_bits(), winner.time_ns.to_bits());
+        let hint = SeedHint { candidate: wrong.candidate, tuning: wrong.tuning };
+        let (seeded, rungs) = evaluate(&pool, &menu, &opts.with_seed(Some(hint))).unwrap();
+        assert_same_winner(best(&seeded), winner, "a wrong seed must not change the winner");
         assert_eq!(
             rungs.iter().map(|r| r.rung.as_str()).collect::<Vec<_>>(),
             ["screen", "seeded", "survivor"],
@@ -893,25 +923,14 @@ mod tests {
     #[test]
     fn seed_outside_the_sweep_space_is_ignored() {
         let arch = ArchConfig::kepler_k40c();
-        let cands = candidates();
+        let menu = menu();
         let pool = ContextPool::new(&arch, 16_384);
         let opts = EvalOptions::serial().with_sweep(SweepMode::Halving);
-        let (plain, plain_rungs) = evaluate_all_timed(&pool, &cands, &opts).unwrap();
+        let (plain, plain_rungs) = evaluate(&pool, &menu, &opts).unwrap();
         // block_size 48 is not in BLOCK_SIZES: the hint cannot resolve.
-        let hint = SeedHint {
-            version: cands[0],
-            tuning: Tuning { block_size: 48, coarsen: 1 },
-        };
-        let (seeded, rungs) =
-            evaluate_all_timed(&pool, &cands, &opts.with_seed(Some(hint))).unwrap();
-        assert_eq!(plain.len(), seeded.len());
-        for (p, s) in plain.iter().zip(&seeded) {
-            match (p, s) {
-                (None, None) => {}
-                (Some(a), Some(b)) => assert_eq!(a.time_ns.to_bits(), b.time_ns.to_bits()),
-                _ => panic!("unresolvable seed changed the survivor set"),
-            }
-        }
+        let hint = SeedHint { candidate: 0, tuning: Tuning { block_size: 48, coarsen: 1 } };
+        let (seeded, rungs) = evaluate(&pool, &menu, &opts.with_seed(Some(hint))).unwrap();
+        assert_same_slots(&plain, &seeded, "unresolvable seed");
         assert_eq!(rungs.len(), plain_rungs.len());
         assert_eq!(rungs[1].rung, "survivor");
     }
@@ -921,24 +940,19 @@ mod tests {
         for arch in
             [ArchConfig::maxwell_gtx980(), ArchConfig::kepler_k40c(), ArchConfig::pascal_p100()]
         {
-            for n in [16_384u64, 131_072] {
-                let cands = candidates();
+            for (label, menu, n) in [
+                ("sum", menu(), 16_384u64),
+                ("sum", menu(), 131_072),
+                ("argmax", Menu::for_key(WorkloadKey::argmax()), 16_384),
+            ] {
                 let pool = ContextPool::new(&arch, n);
                 let opts = EvalOptions::serial().with_sweep(SweepMode::Halving);
-                let (plain, _) = evaluate_all_timed(&pool, &cands, &opts).unwrap();
-                let winner = best_measurement(&plain).unwrap();
-                let hint = SeedHint { version: winner.version, tuning: winner.tuning };
-                let (seeded, _) =
-                    evaluate_all_timed(&pool, &cands, &opts.with_seed(Some(hint))).unwrap();
-                let sw = best_measurement(&seeded).unwrap();
-                assert_eq!(sw.version, winner.version, "{} n={n}", arch.id);
-                assert_eq!(sw.tuning, winner.tuning, "{} n={n}", arch.id);
-                assert_eq!(
-                    sw.time_ns.to_bits(),
-                    winner.time_ns.to_bits(),
-                    "{} n={n}",
-                    arch.id
-                );
+                let (plain, _) = evaluate(&pool, &menu, &opts).unwrap();
+                let winner = best(&plain);
+                let hint = SeedHint { candidate: winner.candidate, tuning: winner.tuning };
+                let (seeded, _) = evaluate(&pool, &menu, &opts.with_seed(Some(hint))).unwrap();
+                let ctx = format!("{} {label} n={n}", arch.id);
+                assert_same_winner(best(&seeded), winner, &ctx);
             }
         }
     }
@@ -946,19 +960,11 @@ mod tests {
     #[test]
     fn halving_thread_counts_agree_bitwise() {
         let arch = ArchConfig::pascal_p100();
-        let cands = candidates();
+        let menu = menu();
         let pool = ContextPool::new(&arch, 32_768);
         let opts = EvalOptions::serial().with_sweep(SweepMode::Halving);
-        let serial = evaluate_all(&pool, &cands, &opts).unwrap();
-        let parallel =
-            evaluate_all(&pool, &cands, &EvalOptions { threads: 4, ..opts }).unwrap();
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            match (s, p) {
-                (None, None) => {}
-                (Some(a), Some(b)) => assert_eq!(a.time_ns.to_bits(), b.time_ns.to_bits()),
-                _ => panic!("survivor set differs between thread counts"),
-            }
-        }
+        let (serial, _) = evaluate(&pool, &menu, &opts).unwrap();
+        let (parallel, _) = evaluate(&pool, &menu, &EvalOptions { threads: 4, ..opts }).unwrap();
+        assert_same_slots(&serial, &parallel, "halving threads 1 vs 4");
     }
 }

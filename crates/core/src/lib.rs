@@ -36,16 +36,16 @@
 //!
 //! | module | role |
 //! |--------|------|
-//! | [`api`] | user-facing [`Reducer`] and the [`Session`] sweep entry point |
-//! | [`workload`] | first-class workloads: argmin/argmax, histograms, oracles |
+//! | [`api`] | user-facing [`Reducer`] and [`Session::run`], the one sweep engine for every workload key |
+//! | [`workload`] | first-class workloads: argmin/argmax, histograms, scans, oracles |
 //! | [`pipeline`] | the Fig. 5 pre-processing pipeline, inspectable |
 //! | [`tuner`] | `__tunable` parameter sweeps (§IV-C) |
-//! | [`evaluate`] | the parallel variant-evaluation engine |
-//! | [`resilience`] | retry, quarantine, and fault-campaign layer |
+//! | [`evaluate`] | the engine's parallel exhaustive / halving rungs |
+//! | [`resilience`] | the engine's retry, quarantine, and fault-campaign rung |
 //! | [`metrics`] | sweep-level observability ([`ProfileReport`]) |
 //! | [`store`] | crash-safe persistent tuning cache ([`TuningStore`]) |
 //! | [`serve`] | autotuning daemon: dedup, warm-start, QoS gate ([`serve::TuneService`]) |
-//! | [`select`] | best-version selection across the pruned space |
+//! | [`select`] | the reduction winner row and the paper's size axis |
 //! | [`dynsel`] | DySel-style runtime selection (micro-profiling) |
 //! | [`runner`] | executing synthesized versions on the device |
 
@@ -54,6 +54,7 @@
 pub mod api;
 pub mod dynsel;
 pub mod evaluate;
+mod menu;
 pub mod metrics;
 pub mod pipeline;
 pub mod resilience;
@@ -65,12 +66,12 @@ pub mod tuner;
 pub mod workload;
 
 pub use api::{
-    CandidateRaces, Reducer, RunReport, Session, SumResult, SweepReport, TableReport,
-    TangramError, WorkloadResult,
+    CandidateRaces, Reducer, RunReport, Session, SweepReport, TangramError, WorkloadResult,
 };
-pub use evaluate::{evaluate_all, evaluate_all_timed, ContextPool, EvalOptions, RungStats};
+pub use evaluate::{ContextPool, EvalOptions, RungStats};
 pub use metrics::{
     CacheMetrics, KernelSpotlight, ProfileReport, SanitizeSummary, StoreSummary, SweepMetrics,
+    WinnerRow,
 };
 pub use resilience::{
     evaluate_all_report, FaultConfig, QuarantineReason, ResilienceOptions, ResilienceReport,
@@ -79,10 +80,7 @@ pub use resilience::{
 pub use tangram_passes::specialize::ReduceOp;
 pub use pipeline::{run_pipeline, PipelineReport};
 pub use runner::{run_reduction, run_segsum, run_workload, upload};
-pub use select::{
-    paper_sizes, select_best, select_best_with, selection_table, selection_table_with,
-    SelectionRow,
-};
+pub use select::{paper_sizes, SelectionRow};
 pub use serve::{
     install_signal_handlers, Answer, Busy, Client, Query, Reply, Served, ServeConfig,
     ServeMetrics, Server, TuneService, WireAnswer, WireReply,
@@ -91,7 +89,7 @@ pub use store::{CacheMode, Lookup, SaveReceipt, StoreError, StoreKey, StoreRecor
 pub use tuner::{measure, tune, TunedVersion};
 pub use workload::{
     expected_value, scan_input, segment_map, workload_corpus_fingerprint, workload_input,
-    workload_input_for, Workload, WorkloadMetrics, WorkloadReport, WorkloadRow, WorkloadValue,
+    workload_input_for, Workload, WorkloadReport, WorkloadRow, WorkloadValue,
 };
 pub use tangram_passes::workload::{
     enumerate_variants_for, segments_for, Dtype, WlVariant, WorkloadKey, WorkloadKind,
@@ -114,12 +112,12 @@ pub use tangram_passes::workload::{
 /// ```
 pub mod prelude {
     pub use crate::api::{
-        CandidateRaces, Reducer, RunReport, Session, SumResult, SweepReport, TableReport,
-        TangramError, WorkloadResult,
+        CandidateRaces, Reducer, RunReport, Session, SweepReport, TangramError, WorkloadResult,
     };
     pub use crate::evaluate::{ContextPool, EvalOptions, RungStats, SweepMode};
     pub use crate::metrics::{
         CacheMetrics, KernelSpotlight, ProfileReport, SanitizeSummary, StoreSummary, SweepMetrics,
+        WinnerRow,
     };
     pub use crate::resilience::{
         FaultConfig, QuarantineReason, ResilienceOptions, ResilienceReport, ValidationPolicy,
@@ -133,9 +131,7 @@ pub mod prelude {
         CacheMode, Lookup, SaveReceipt, StoreError, StoreKey, StoreRecord, TuningStore,
     };
     pub use crate::tuner::{BenchContext, TunedVersion};
-    pub use crate::workload::{
-        Workload, WorkloadMetrics, WorkloadReport, WorkloadRow, WorkloadValue,
-    };
+    pub use crate::workload::{Workload, WorkloadReport, WorkloadRow, WorkloadValue};
     pub use tangram_passes::workload::{Dtype, WlVariant, WorkloadKey, WorkloadKind};
     pub use gpu_sim::profile::{LaunchProfile, SiteCounters, Trace};
     pub use gpu_sim::{ArchConfig, Device, ExecMode, SimError};

@@ -27,7 +27,6 @@ use tangram_passes::specialize::ReduceOp;
 
 use crate::evaluate::RungStats;
 use crate::resilience::ResilienceReport;
-use crate::select::SelectionRow;
 use crate::tuner::BenchContext;
 
 /// Hit/miss accounting for a memoization cache (e.g. the figure
@@ -109,7 +108,23 @@ pub struct StoreSummary {
     pub saved: bool,
 }
 
-/// Everything observed about one `(arch, n)` selection sweep.
+/// The winning job of a sweep of any key.
+#[derive(Debug, Clone, Serialize)]
+pub struct WinnerRow {
+    /// Winning candidate: a `CodeVersion` string for reductions, a
+    /// [`WlVariant::id`](crate::WlVariant::id) for the other workloads.
+    pub id: String,
+    /// Winning block size.
+    pub block_size: u32,
+    /// Winning coarsening factor.
+    pub coarsen: u32,
+    /// Modelled time of the winner (ns).
+    pub time_ns: f64,
+}
+
+/// Everything observed about one `(arch, workload, n)` sweep. Every
+/// counter is bit-identical for any thread count; only `wall_ms` and
+/// the rung timings are host wall-clock.
 #[derive(Debug, Clone, Serialize)]
 pub struct SweepMetrics {
     /// Architecture identifier (`kepler`/`maxwell`/`pascal`).
@@ -119,7 +134,8 @@ pub struct SweepMetrics {
     /// The typed workload the sweep was keyed by (`sum-f32` for the
     /// classic selection sweeps).
     pub workload: tangram_passes::workload::WorkloadKey,
-    /// Sweep strategy (`exhaustive`/`halving`/`resilient`).
+    /// Sweep strategy (`exhaustive`/`halving`, `resilient-` prefixed
+    /// under a resilience policy).
     pub mode: String,
     /// Interpreter hot path (`uop`/`reference`).
     pub interp: String,
@@ -131,8 +147,8 @@ pub struct SweepMetrics {
     /// retries / fault totals. For clean sweeps only the job counts
     /// are populated.
     pub resilience: ResilienceReport,
-    /// The winning row.
-    pub winner: SelectionRow,
+    /// The winning job.
+    pub winner: WinnerRow,
     /// Per-site profile of the winner's main kernel (present when the
     /// sweep ran with profiling enabled).
     pub winner_profile: Option<LaunchProfile>,
@@ -168,7 +184,7 @@ pub struct KernelSpotlight {
 /// via the `--metrics-json` flag of the `sweep` and `figures` bins.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct ProfileReport {
-    /// One entry per `(arch, n)` sweep, in execution order.
+    /// One entry per sweep of any key, in execution order.
     pub sweeps: Vec<SweepMetrics>,
     /// Profiled spotlight kernels (Fig. 1c cooperative codelet and
     /// the §III-C shuffle variant), one pair per architecture.

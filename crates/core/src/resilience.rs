@@ -28,15 +28,13 @@
 use gpu_sim::exec::BlockSelection;
 use gpu_sim::{FaultPlan, SimError};
 use serde::Serialize;
-use tangram_codegen::synthesize_cached;
 use tangram_passes::planner::CodeVersion;
-use tangram_passes::specialize::ReduceOp;
 
 use crate::evaluate::{
     jobs_for, measure_job, run_jobs_with, survivor_mask, ContextPool, EvalOptions, Fidelity, Job,
-    Measurement, SweepMode,
+    Measured, Measurement, SweepMode,
 };
-use crate::runner::run_reduction;
+use crate::menu::{Menu, Oracle};
 use crate::tuner::BenchContext;
 
 /// Deterministic fault-injection campaign configuration.
@@ -117,12 +115,12 @@ pub enum QuarantineReason {
     BarrierDeadlock(String),
     /// The launch exceeded its instruction budget.
     Timeout(String),
-    /// The reduced value disagreed with the `cpu-ref` oracle.
+    /// The output disagreed with the `cpu-ref` oracle.
     OracleMismatch {
-        /// Value the variant produced.
-        got: f64,
-        /// Oracle value.
-        expect: f64,
+        /// Summary of the value the variant produced.
+        got: String,
+        /// Summary of the oracle value.
+        expect: String,
     },
     /// The race sanitizer reported shared/global-memory hazards for
     /// the candidate (the payload is the first report's summary line).
@@ -272,29 +270,6 @@ impl ResilienceReport {
     }
 }
 
-/// Deterministic oracle input shared by every worker of a sweep: the
-/// same pattern the correctness tests use, plus its CPU reference sum.
-/// Also reused by the tuning store's warm-start confirmation
-/// (`crate::api`), which re-validates cached winners against it.
-#[derive(Debug)]
-pub(crate) struct Oracle {
-    pub(crate) data: Vec<f32>,
-    pub(crate) expect: f64,
-}
-
-impl Oracle {
-    pub(crate) fn new(n: u64) -> Self {
-        let data: Vec<f32> = (0..n).map(|i| ((i % 17) as f32) - 3.0).collect();
-        let expect = cpu_ref::parallel_sum(&data, 4);
-        Oracle { data, expect }
-    }
-
-    pub(crate) fn matches(&self, got: f32) -> bool {
-        let tol = (self.expect.abs() * 1e-5).max(1e-3);
-        (f64::from(got) - self.expect).abs() <= tol
-    }
-}
-
 /// Stable per-job salt: a pure function of the job's identity, so the
 /// derived fault stream never depends on worker scheduling.
 fn job_salt(job: Job) -> u64 {
@@ -307,13 +282,14 @@ fn job_salt(job: Job) -> u64 {
 /// simulator errors become quarantine entries, never sweep aborts.
 fn measure_job_resilient(
     ctx: &mut BenchContext,
+    menu: &Menu,
     job: Job,
     res: &ResilienceOptions,
     oracle: Option<&Oracle>,
-) -> (Option<Measurement>, JobReport) {
+) -> (Option<Measured>, JobReport) {
     let mut report = JobReport {
         candidate: job.candidate,
-        version: job.version.to_string(),
+        version: menu.id(job.candidate),
         block_size: job.tuning.block_size,
         coarsen: job.tuning.coarsen,
         attempts: 0,
@@ -322,7 +298,7 @@ fn measure_job_resilient(
         measured: false,
         quarantined: None,
     };
-    let Ok(sv) = synthesize_cached(job.version, job.tuning, ReduceOp::Sum) else {
+    let Ok(kernel) = menu.synthesize(job.candidate, job.tuning) else {
         return (None, report);
     };
 
@@ -364,7 +340,7 @@ fn measure_job_resilient(
             let outcome = match prep {
                 Ok(input) => {
                     vdev.set_fault_plan(plan);
-                    run_reduction(&mut vdev, &sv, input, ctx.n, BlockSelection::All)
+                    kernel.run(&mut vdev, input, ctx.n, BlockSelection::All)
                 }
                 Err(e) => Err(e),
             };
@@ -373,7 +349,7 @@ fn measure_job_resilient(
             let injected = vdev.take_fault_log().len() as u64;
             report.faults_injected += injected;
             let mismatch = match &outcome {
-                Ok(got) => oracle.is_some_and(|o| !o.matches(*got)),
+                Ok(got) => oracle.is_some_and(|o| !o.matches(got)),
                 Err(_) => false,
             };
             match outcome {
@@ -391,10 +367,9 @@ fn measure_job_resilient(
                     if fault_active {
                         continue; // corruption caught by the oracle: retry
                     }
-                    let expect = oracle.map_or(f64::NAN, |o| o.expect);
                     report.quarantined = Some(QuarantineReason::OracleMismatch {
-                        got: f64::from(got),
-                        expect,
+                        got: got.summary(),
+                        expect: oracle.map(Oracle::expected).unwrap_or_default(),
                     });
                     break;
                 }
@@ -415,19 +390,11 @@ fn measure_job_resilient(
 
         // Clean (or validated-clean) timing measurement — the exact
         // code path of the non-resilient engine.
-        match ctx.measure(&sv) {
+        match kernel.measure(ctx, Fidelity::Full) {
             Ok(time_ns) => {
                 report.measured = true;
-                return (
-                    Some(Measurement {
-                        candidate: job.candidate,
-                        version: job.version,
-                        tuning: job.tuning,
-                        time_ns,
-                        synthesized: sv,
-                    }),
-                    report,
-                );
+                let m = Measured { candidate: job.candidate, tuning: job.tuning, time_ns, kernel };
+                return (Some(m), report);
             }
             Err(SimError::InvalidLaunch(_)) => return (None, report),
             Err(e) => {
@@ -459,14 +426,14 @@ enum Screened {
     Errored,
 }
 
-/// [`crate::evaluate::evaluate_all`] with retry, quarantine, and
-/// fault-campaign support.
+/// The engine's resilient rung: every job of `menu`'s sweep under
+/// retry, quarantine, and fault-campaign support.
 ///
-/// Returns the canonical job slots (identical layout to
-/// `evaluate_all`; quarantined jobs are `None`) plus the
-/// [`ResilienceReport`]. With the default [`ResilienceOptions`]
-/// (no faults, [`ValidationPolicy::Auto`]) the measurements are
-/// bit-identical to `evaluate_all`'s.
+/// Returns the canonical job slots (the clean engine's layout;
+/// quarantined jobs are `None`) plus the [`ResilienceReport`]. With
+/// the default [`ResilienceOptions`] (no faults,
+/// [`ValidationPolicy::Auto`]) the measurements are bit-identical to
+/// the clean engine's. Validated attempts check the menu's oracle.
 ///
 /// Under [`SweepMode::Halving`] the screening rung always runs
 /// *clean* (no fault plan): survivor selection is then a pure
@@ -478,14 +445,14 @@ enum Screened {
 ///
 /// Only context-pool allocation failures abort; per-job simulator
 /// errors are quarantined instead.
-pub fn evaluate_all_report(
+pub(crate) fn evaluate_resilient(
     pool: &ContextPool,
-    candidates: &[CodeVersion],
+    menu: &Menu,
     opts: &EvalOptions,
     res: &ResilienceOptions,
-) -> Result<(Vec<Option<Measurement>>, ResilienceReport), SimError> {
-    let jobs = jobs_for(candidates);
-    let oracle = if res.needs_oracle() { Some(Oracle::new(pool.n())) } else { None };
+) -> Result<(Vec<Option<Measured>>, ResilienceReport), SimError> {
+    let jobs = jobs_for(menu);
+    let oracle = if res.needs_oracle() { Some(menu.oracle(pool.n())) } else { None };
     let oracle = oracle.as_ref();
     let mut report = ResilienceReport::default();
 
@@ -495,7 +462,7 @@ pub fn evaluate_all_report(
         SweepMode::Exhaustive => (0..jobs.len()).collect(),
         SweepMode::Halving => {
             let screen = run_jobs_with(pool, &jobs, opts.threads, &|ctx, job| {
-                Ok(match measure_job(ctx, job, Fidelity::Screen) {
+                Ok(match measure_job(ctx, menu, job, Fidelity::Screen) {
                     Ok(Some(m)) => Screened::Time(m.time_ns),
                     Ok(None) => Screened::Infeasible,
                     Err(_) => Screened::Errored,
@@ -535,10 +502,10 @@ pub fn evaluate_all_report(
 
     let rung_jobs: Vec<Job> = rung.iter().map(|&i| jobs[i]).collect();
     let outcomes = run_jobs_with(pool, &rung_jobs, opts.threads, &|ctx, job| {
-        Ok(measure_job_resilient(ctx, job, res, oracle))
+        Ok(measure_job_resilient(ctx, menu, job, res, oracle))
     })?;
 
-    let mut measurements: Vec<Option<Measurement>> = Vec::new();
+    let mut measurements: Vec<Option<Measured>> = Vec::new();
     measurements.resize_with(jobs.len(), || None);
     for (i, (m, r)) in rung.into_iter().zip(outcomes) {
         measurements[i] = m;
@@ -547,53 +514,91 @@ pub fn evaluate_all_report(
     Ok((measurements, report))
 }
 
+/// A resilient sweep over an explicit `sum-f32` candidate list, in
+/// the public [`Measurement`] shape: the engine's resilient rung
+/// ([`crate::Session::resilience`]) on the reduction menu.
+///
+/// # Errors
+///
+/// Only context-pool allocation failures abort; per-job simulator
+/// errors are quarantined instead.
+pub fn evaluate_all_report(
+    pool: &ContextPool,
+    candidates: &[CodeVersion],
+    opts: &EvalOptions,
+    res: &ResilienceOptions,
+) -> Result<(Vec<Option<Measurement>>, ResilienceReport), SimError> {
+    let (results, report) = evaluate_resilient(pool, &Menu::of_versions(candidates), opts, res)?;
+    Ok((results.into_iter().map(|m| m.and_then(Measured::into_measurement)).collect(), report))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::{best_measurement, evaluate_all};
+    use crate::evaluate::{evaluate, first_fastest};
     use gpu_sim::ArchConfig;
     use tangram_passes::planner;
 
-    fn candidates() -> Vec<CodeVersion> {
-        planner::fig6_best()
+    fn menu() -> Menu {
+        let cands: Vec<CodeVersion> = planner::fig6_best()
             .into_iter()
             .take(4)
             .map(|l| planner::fig6_by_label(l).unwrap())
-            .collect()
+            .collect();
+        Menu::of_versions(&cands)
+    }
+
+    fn assert_same_slots(a: &[Option<Measured>], b: &[Option<Measured>]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            match (x, y) {
+                (None, None) => {}
+                (Some(x), Some(y)) => assert_eq!(x.time_ns.to_bits(), y.time_ns.to_bits()),
+                _ => panic!("feasibility or survivor set differs"),
+            }
+        }
+    }
+
+    fn assert_same_winner(a: &[Option<Measured>], b: &[Option<Measured>]) {
+        let a = first_fastest(a, |m| m.time_ns).unwrap();
+        let b = first_fastest(b, |m| m.time_ns).unwrap();
+        assert_eq!(a.candidate, b.candidate, "fault campaign must not change the winner");
+        assert_eq!(a.tuning, b.tuning);
+        assert_eq!(a.time_ns.to_bits(), b.time_ns.to_bits());
     }
 
     #[test]
     fn default_policy_matches_clean_engine_bitwise() {
+        // The whole pruned corpus in both sweep modes: the resilient
+        // rung's own halving screen must keep exactly the clean
+        // engine's survivors.
         let arch = ArchConfig::maxwell_gtx980();
-        let cands = candidates();
+        let menu = Menu::of_versions(&planner::enumerate_pruned());
         let pool = ContextPool::new(&arch, 16_384);
-        let opts = EvalOptions::serial();
-        let clean = evaluate_all(&pool, &cands, &opts).unwrap();
-        let (resilient, report) =
-            evaluate_all_report(&pool, &cands, &opts, &ResilienceOptions::default()).unwrap();
-        assert_eq!(clean.len(), resilient.len());
-        for (c, r) in clean.iter().zip(&resilient) {
-            match (c, r) {
-                (None, None) => {}
-                (Some(a), Some(b)) => assert_eq!(a.time_ns.to_bits(), b.time_ns.to_bits()),
-                _ => panic!("feasibility differs"),
-            }
+        for sweep in [SweepMode::Exhaustive, SweepMode::Halving] {
+            let opts = EvalOptions::default().with_sweep(sweep);
+            let (clean, _) = evaluate(&pool, &menu, &opts).unwrap();
+            let (resilient, report) =
+                evaluate_resilient(&pool, &menu, &opts, &ResilienceOptions::default()).unwrap();
+            assert_same_slots(&clean, &resilient);
+            assert_eq!(report.total_jobs, clean.len());
+            assert_eq!(report.measured, clean.iter().flatten().count());
+            assert_eq!(report.quarantined, 0);
+            assert_eq!(report.faults_injected, 0);
+            assert_eq!(report.silent, 0);
+            assert_eq!(report.retries, 0);
         }
-        assert_eq!(report.quarantined, 0);
-        assert_eq!(report.faults_injected, 0);
-        assert_eq!(report.silent, 0);
-        assert_eq!(report.retries, 0);
     }
 
     #[test]
     fn fault_campaign_recovers_and_keeps_winner() {
         let arch = ArchConfig::kepler_k40c();
-        let cands = candidates();
+        let menu = menu();
         let pool = ContextPool::new(&arch, 8_192);
         let opts = EvalOptions::serial();
-        let clean = evaluate_all(&pool, &cands, &opts).unwrap();
+        let (clean, _) = evaluate(&pool, &menu, &opts).unwrap();
         let res = ResilienceOptions::campaign(0xC0FFEE, 500);
-        let (faulty, report) = evaluate_all_report(&pool, &cands, &opts, &res).unwrap();
+        let (faulty, report) = evaluate_resilient(&pool, &menu, &opts, &res).unwrap();
         assert!(report.faults_injected > 0, "campaign must inject faults");
         assert_eq!(report.silent, 0, "accepted measurements must be fault-free");
         assert_eq!(report.quarantined, 0, "clean retries must recover the corpus");
@@ -603,57 +608,44 @@ mod tests {
             "every injected fault is recovered by a clean retry: {}",
             report.summary_line()
         );
-        let (cb, fb) = (best_measurement(&clean).unwrap(), best_measurement(&faulty).unwrap());
-        assert_eq!(cb.version, fb.version, "fault campaign must not change the winner");
-        assert_eq!(cb.tuning, fb.tuning);
-        assert_eq!(cb.time_ns.to_bits(), fb.time_ns.to_bits());
+        assert_same_winner(&clean, &faulty);
     }
 
     #[test]
     fn halving_campaign_prunes_and_keeps_winner() {
         let arch = ArchConfig::maxwell_gtx980();
-        let cands = candidates();
-        let pool = ContextPool::new(&arch, 16_384);
-        let opts = EvalOptions::serial().with_sweep(SweepMode::Halving);
-        let clean = evaluate_all(&pool, &cands, &opts).unwrap();
-        let res = ResilienceOptions::campaign(0xBEEF, 400);
-        let (faulty, report) = evaluate_all_report(&pool, &cands, &opts, &res).unwrap();
-        assert!(report.pruned > 0, "halving campaign must prune: {}", report.summary_line());
-        assert_eq!(report.total_jobs, jobs_for(&cands).len(), "every job is accounted");
-        assert_eq!(report.silent, 0);
-        // The clean screen makes the survivor sets — and thus the
-        // winner — identical to the fault-free halving sweep.
-        for (c, f) in clean.iter().zip(&faulty) {
-            match (c, f) {
-                (None, None) => {}
-                (Some(a), Some(b)) => assert_eq!(a.time_ns.to_bits(), b.time_ns.to_bits()),
-                _ => panic!("survivor set differs between clean and campaign runs"),
-            }
+        // A reduce menu (tolerant oracle) and a variant menu (exact
+        // oracle over the segsum corpus).
+        let segsum = tangram_passes::workload::WorkloadKey::segsum(
+            tangram_passes::workload::Dtype::F32,
+        );
+        for (menu, n) in [(menu(), 16_384), (Menu::for_key(segsum), 4_096)] {
+            let pool = ContextPool::new(&arch, n);
+            let opts = EvalOptions::serial().with_sweep(SweepMode::Halving);
+            let (clean, _) = evaluate(&pool, &menu, &opts).unwrap();
+            let res = ResilienceOptions::campaign(0xBEEF, 400);
+            let (faulty, report) = evaluate_resilient(&pool, &menu, &opts, &res).unwrap();
+            assert!(report.pruned > 0, "halving campaign must prune: {}", report.summary_line());
+            assert_eq!(report.total_jobs, jobs_for(&menu).len(), "every job is accounted");
+            assert!(report.faults_detected > 0, "the oracle must catch corruption");
+            assert_eq!(report.silent, 0);
+            // The clean screen makes the survivor sets — and thus the
+            // winner — identical to the fault-free halving sweep.
+            assert_same_slots(&clean, &faulty);
+            assert_same_winner(&clean, &faulty);
         }
-        let (cb, fb) = (best_measurement(&clean).unwrap(), best_measurement(&faulty).unwrap());
-        assert_eq!(cb.version, fb.version);
-        assert_eq!(cb.tuning, fb.tuning);
-        assert_eq!(cb.time_ns.to_bits(), fb.time_ns.to_bits());
     }
 
     #[test]
     fn same_seed_same_report_across_threads() {
         let arch = ArchConfig::maxwell_gtx980();
-        let cands = candidates();
+        let menu = menu();
         let pool = ContextPool::new(&arch, 4_096);
         let res = ResilienceOptions::campaign(42, 300);
-        let (m1, r1) =
-            evaluate_all_report(&pool, &cands, &EvalOptions::serial(), &res).unwrap();
+        let (m1, r1) = evaluate_resilient(&pool, &menu, &EvalOptions::serial(), &res).unwrap();
         let (m2, r2) =
-            evaluate_all_report(&pool, &cands, &EvalOptions::with_threads(4), &res).unwrap();
+            evaluate_resilient(&pool, &menu, &EvalOptions::with_threads(4), &res).unwrap();
         assert_eq!(format!("{r1:?}"), format!("{r2:?}"), "report depends on thread count");
-        assert_eq!(m1.len(), m2.len());
-        for (a, b) in m1.iter().zip(&m2) {
-            match (a, b) {
-                (None, None) => {}
-                (Some(x), Some(y)) => assert_eq!(x.time_ns.to_bits(), y.time_ns.to_bits()),
-                _ => panic!("feasibility differs between thread counts"),
-            }
-        }
+        assert_same_slots(&m1, &m2);
     }
 }

@@ -1,15 +1,11 @@
 //! Best-version selection across the pruned search space — what the
 //! paper's evaluation does per architecture and array size (§IV-C
 //! reports, for each size, the Fig. 6 version with the highest
-//! performance).
+//! performance). The sweep itself is [`crate::Session::run`]; this
+//! module holds its reduction row and the paper's size axis.
 
-use gpu_sim::{ArchConfig, SimError};
 use serde::{Deserialize, Serialize};
 use tangram_passes::planner::{self, CodeVersion};
-
-use crate::evaluate::{best_measurement, evaluate_all, ContextPool, EvalOptions};
-use crate::resilience::{evaluate_all_report, ResilienceOptions, ResilienceReport};
-use crate::tuner::TunedVersion;
 
 /// One row of a selection sweep: the winning version for a size.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -28,109 +24,6 @@ pub struct SelectionRow {
     pub time_ns: f64,
 }
 
-/// Find the fastest pruned version for `n` elements on `arch`,
-/// tuning each candidate. Uses the engine's default thread count.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn select_best(arch: &ArchConfig, n: u64) -> Result<(TunedVersion, SelectionRow), SimError> {
-    select_best_of(arch, n, &planner::enumerate_pruned())
-}
-
-/// [`select_best`] with an explicit [`EvalOptions`].
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn select_best_with(
-    arch: &ArchConfig,
-    n: u64,
-    opts: &EvalOptions,
-) -> Result<(TunedVersion, SelectionRow), SimError> {
-    select_best_of_with(arch, n, &planner::enumerate_pruned(), opts)
-}
-
-/// Find the fastest among `candidates` for `n` elements on `arch`.
-///
-/// # Errors
-///
-/// Propagates simulator errors; errors from infeasible candidates are
-/// skipped.
-pub fn select_best_of(
-    arch: &ArchConfig,
-    n: u64,
-    candidates: &[CodeVersion],
-) -> Result<(TunedVersion, SelectionRow), SimError> {
-    select_best_of_with(arch, n, candidates, &EvalOptions::default())
-}
-
-/// [`select_best_of`] with an explicit [`EvalOptions`]: fans the
-/// candidate measurements over the engine's worker pool and reduces
-/// in canonical order, so the winner is identical for every thread
-/// count.
-///
-/// # Errors
-///
-/// Propagates simulator errors; errors from infeasible candidates are
-/// skipped.
-pub fn select_best_of_with(
-    arch: &ArchConfig,
-    n: u64,
-    candidates: &[CodeVersion],
-    opts: &EvalOptions,
-) -> Result<(TunedVersion, SelectionRow), SimError> {
-    let pool = ContextPool::builder(arch, n).opts(opts).build();
-    let results = evaluate_all(&pool, candidates, opts)?;
-    let best = best_measurement(&results)
-        .ok_or_else(|| SimError::InvalidLaunch("no feasible version".into()))?;
-    let tuned =
-        TunedVersion { synthesized: best.synthesized.clone(), time_ns: best.time_ns };
-    let row = SelectionRow {
-        n,
-        version: best.version,
-        fig6_label: fig6_label_of(best.version),
-        block_size: best.tuning.block_size,
-        coarsen: best.tuning.coarsen,
-        time_ns: best.time_ns,
-    };
-    Ok((tuned, row))
-}
-
-/// [`select_best_of_with`] under a resilience policy: traps, timeouts
-/// and oracle mismatches quarantine the offending candidate instead of
-/// aborting the sweep, and the returned [`ResilienceReport`] records
-/// what happened. The winner (when one survives) is bit-identical to
-/// the clean engine's — accepted measurements never run under an
-/// active fault plan.
-///
-/// # Errors
-///
-/// Fails only when the context pool cannot allocate or no candidate
-/// survives (every one infeasible or quarantined).
-pub fn select_best_report(
-    arch: &ArchConfig,
-    n: u64,
-    candidates: &[CodeVersion],
-    opts: &EvalOptions,
-    res: &ResilienceOptions,
-) -> Result<(TunedVersion, SelectionRow, ResilienceReport), SimError> {
-    let pool = ContextPool::builder(arch, n).opts(opts).build();
-    let (results, report) = evaluate_all_report(&pool, candidates, opts, res)?;
-    let best = best_measurement(&results)
-        .ok_or_else(|| SimError::InvalidLaunch("no feasible version".into()))?;
-    let tuned = TunedVersion { synthesized: best.synthesized.clone(), time_ns: best.time_ns };
-    let row = SelectionRow {
-        n,
-        version: best.version,
-        fig6_label: fig6_label_of(best.version),
-        block_size: best.tuning.block_size,
-        coarsen: best.tuning.coarsen,
-        time_ns: best.time_ns,
-    };
-    Ok((tuned, row, report))
-}
-
 /// The Fig. 6 letter of a version, when it is one of the 16.
 pub fn fig6_label_of(version: CodeVersion) -> Option<char> {
     planner::fig6_versions().into_iter().find(|(_, v)| *v == version).map(|(l, _)| l)
@@ -141,54 +34,11 @@ pub fn paper_sizes() -> Vec<u64> {
     (0..12).map(|i| 64u64 << (2 * i)).collect()
 }
 
-/// Sweep the selection over the paper's sizes.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn selection_table(arch: &ArchConfig, sizes: &[u64]) -> Result<Vec<SelectionRow>, SimError> {
-    selection_table_with(arch, sizes, &EvalOptions::default())
-}
-
-/// [`selection_table`] with an explicit [`EvalOptions`].
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn selection_table_with(
-    arch: &ArchConfig,
-    sizes: &[u64],
-    opts: &EvalOptions,
-) -> Result<Vec<SelectionRow>, SimError> {
-    sizes.iter().map(|&n| select_best_with(arch, n, opts).map(|(_, row)| row)).collect()
-}
-
-/// [`selection_table_with`] under a resilience policy. Reports from
-/// the per-size sweeps are merged into one.
-///
-/// # Errors
-///
-/// See [`select_best_report`].
-pub fn selection_table_report(
-    arch: &ArchConfig,
-    sizes: &[u64],
-    opts: &EvalOptions,
-    res: &ResilienceOptions,
-) -> Result<(Vec<SelectionRow>, ResilienceReport), SimError> {
-    let candidates = planner::enumerate_pruned();
-    let mut rows = Vec::with_capacity(sizes.len());
-    let mut merged = ResilienceReport::default();
-    for &n in sizes {
-        let (_, row, report) = select_best_report(arch, n, &candidates, opts, res)?;
-        rows.push(row);
-        merged.merge(report);
-    }
-    Ok((rows, merged))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Session;
+    use gpu_sim::ArchConfig;
 
     #[test]
     fn paper_sizes_match_figure_axis() {
@@ -210,8 +60,7 @@ mod tests {
 
     #[test]
     fn selection_returns_a_pruned_winner() {
-        let arch = ArchConfig::maxwell_gtx980();
-        let (_tuned, row) = select_best(&arch, 16_384).unwrap();
+        let row = Session::new(ArchConfig::maxwell_gtx980()).select_best(16_384).unwrap().row;
         assert!(planner::enumerate_pruned().contains(&row.version));
         assert!(row.time_ns > 0.0);
     }

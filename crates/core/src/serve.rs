@@ -57,7 +57,7 @@ use gpu_sim::{ArchConfig, ExecMode};
 use serde::{Serialize, Value};
 use tangram_passes::workload::WorkloadKey;
 
-use crate::api::{RunReport, Session};
+use crate::api::Session;
 use crate::evaluate::{EvalOptions, SweepMode};
 use crate::resilience::{JobReport, QuarantineReason, ResilienceReport};
 use crate::store::CacheMode;
@@ -117,10 +117,9 @@ pub struct Query {
     pub n: u64,
     /// Tenant identifier for the admission gate's per-tenant cap.
     pub tenant: String,
-    /// Typed workload (schema v2 wire field). `None` — or
-    /// `Some(sum-f32)` — takes the byte-identical legacy `sum` path;
-    /// any other key routes through the workload sweep
-    /// ([`crate::Session::run`]).
+    /// Typed workload (schema v2 wire field). `None` means `sum-f32`
+    /// (whose answers stay byte-identical to the schema-1 wire
+    /// format); every key is tuned by [`crate::Session::run`].
     pub workload: Option<WorkloadKey>,
 }
 
@@ -149,15 +148,6 @@ impl Query {
     pub fn tenant(mut self, tenant: &str) -> Self {
         self.tenant = tenant.to_string();
         self
-    }
-
-    /// Whether this query takes the legacy `sum-f32` selection path
-    /// (no workload field, or one that spells exactly `sum-f32`).
-    fn is_legacy(&self) -> bool {
-        match self.workload {
-            None => true,
-            Some(w) => w == WorkloadKey::sum(),
-        }
     }
 
     /// In-flight dedup key: the exact shape, excluding the tenant.
@@ -213,9 +203,9 @@ pub struct Answer {
     pub served: Served,
     /// Wall-clock the requester waited, in milliseconds.
     pub wall_ms: f64,
-    /// The typed workload id (`argmax-f32`, `hist64-f32`, …) when the
-    /// query routed through the workload sweep; `None` on the legacy
-    /// `sum` path, keeping those wire answers byte-identical.
+    /// The typed workload id (`argmax-f32`, `hist64-f32`, …) of any
+    /// query but `sum-f32`; `None` for `sum-f32`, keeping those wire
+    /// answers byte-identical to the schema-1 format.
     pub workload: Option<String>,
 }
 
@@ -393,6 +383,14 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
+/// A query that passed [`TuneService::validate`], with its
+/// architecture and workload key resolved.
+struct Valid<'q> {
+    q: &'q Query,
+    arch: ArchConfig,
+    key: WorkloadKey,
+}
+
 /// The socket-free tuning service: dedup, admission, sweeps, metrics.
 /// [`Server`] puts it behind a unix socket; tests drive it directly.
 pub struct TuneService {
@@ -433,34 +431,33 @@ impl TuneService {
         let t0 = Instant::now();
         relock(self.metrics.lock()).queries += 1;
 
-        if let Err(e) = self.validate(q) {
-            relock(self.metrics.lock()).errors += 1;
-            return Reply::Error(e);
-        }
+        let valid = match self.validate(q) {
+            Ok(valid) => valid,
+            Err(e) => {
+                relock(self.metrics.lock()).errors += 1;
+                return Reply::Error(e);
+            }
+        };
 
         // Dedup before admission: followers consume no worker or
         // queue slots — they only wait on the leader's flight.
         let key = q.key();
-        let flight = {
+        let (flight, leader) = {
             let mut inflight = relock(self.inflight.lock());
             match inflight.get(&key) {
-                Some(flight) => Some(Arc::clone(flight)),
+                Some(flight) => (Arc::clone(flight), false),
                 None => {
-                    inflight.insert(key.clone(), Arc::new(Flight::new()));
-                    None
+                    let flight = Arc::new(Flight::new());
+                    inflight.insert(key.clone(), Arc::clone(&flight));
+                    (flight, true)
                 }
             }
         };
-        if let Some(flight) = flight {
+        if !leader {
             let reply = flight.wait();
             return self.record_follower(reply, t0);
         }
-        let guard = FlightGuard {
-            flight: Arc::clone(relock(self.inflight.lock()).get(&key).expect("flight present")),
-            service: self,
-            key,
-            published: false,
-        };
+        let guard = FlightGuard { service: self, key, flight, published: false };
 
         match self.admit(q) {
             Ok(()) => {}
@@ -475,7 +472,7 @@ impl TuneService {
             }
         }
 
-        let reply = self.sweep(q, t0);
+        let reply = self.sweep(&valid, t0);
         self.release();
         guard.publish(&reply);
         reply
@@ -505,7 +502,9 @@ impl TuneService {
         }
     }
 
-    fn validate(&self, q: &Query) -> Result<(), String> {
+    /// Check a query's shape and resolve its architecture and
+    /// workload key once, for the sweep to use.
+    fn validate<'q>(&self, q: &'q Query) -> Result<Valid<'q>, String> {
         // Typed workloads carry their own validated shape; the legacy
         // string fields only gate queries that never set the field.
         if q.workload.is_none() {
@@ -519,11 +518,12 @@ impl TuneService {
         if q.n == 0 || q.n >= (1 << 31) {
             return Err(format!("n={} out of range (want 1..2^31)", q.n));
         }
-        if !self.archs.iter().any(|a| a.id == q.arch) {
+        let Some(arch) = self.archs.iter().find(|a| a.id == q.arch) else {
             let known: Vec<&str> = self.archs.iter().map(|a| a.id.as_str()).collect();
             return Err(format!("unknown arch `{}` (want one of {})", q.arch, known.join("|")));
-        }
-        Ok(())
+        };
+        let key = q.workload.unwrap_or_else(WorkloadKey::sum);
+        Ok(Valid { q, arch: arch.clone(), key })
     }
 
     /// Admission gate: a worker slot now, a bounded queue wait for
@@ -601,74 +601,41 @@ impl TuneService {
     }
 
     /// Run the actual sweep for a leader that passed admission.
-    fn sweep(&self, q: &Query, t0: Instant) -> Reply {
-        let arch = self
-            .archs
-            .iter()
-            .find(|a| a.id == q.arch)
-            .expect("validated arch")
-            .clone();
+    fn sweep(&self, v: &Valid<'_>, t0: Instant) -> Reply {
+        let q = v.q;
         let opts = EvalOptions::with_threads(self.cfg.sweep_threads)
             .with_sweep(SweepMode::Halving)
             .with_interp(ExecMode::Compiled);
-        let mut session = Session::new(arch).eval(opts);
+        let mut session = Session::new(v.arch.clone()).eval(opts);
         if let Some(dir) = &self.cfg.cache_dir {
             session = session.store(dir).cache_mode(self.cfg.cache_mode);
         }
-        let run = if q.is_legacy() {
-            session.select_best(q.n).map(|rep| RunReport::Reduce(Box::new(rep)))
-        } else {
-            let key = q.workload.expect("non-legacy queries carry a workload");
-            session.run(&Workload::new(key, q.n))
-        };
+        let run = session.run(&Workload::new(v.key, q.n));
+        self.release_tenant(&q.tenant);
         let report = match run {
             Ok(report) => report,
             Err(e) => {
-                self.release_tenant(&q.tenant);
                 relock(self.metrics.lock()).errors += 1;
                 return Reply::Error(format!("sweep failed: {e}"));
             }
         };
-        self.release_tenant(&q.tenant);
 
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let answer = match &report {
-            RunReport::Reduce(rep) => {
-                let served = match &rep.metrics.store {
-                    Some(s) if s.warm => Served::Warm,
-                    Some(s) if s.seeded => Served::Seeded,
-                    _ => Served::Cold,
-                };
-                Answer {
-                    arch: q.arch.clone(),
-                    n: q.n,
-                    version: rep.row.version.to_string(),
-                    block_size: rep.row.block_size,
-                    coarsen: rep.row.coarsen,
-                    time_ns: rep.row.time_ns,
-                    served,
-                    wall_ms,
-                    workload: q.workload.filter(|_| !q.is_legacy()).map(|w| w.id()),
-                }
-            }
-            RunReport::Workload(rep) => {
-                let served = match &rep.metrics.store {
-                    Some(s) if s.warm => Served::Warm,
-                    Some(s) if s.seeded => Served::Seeded,
-                    _ => Served::Cold,
-                };
-                Answer {
-                    arch: q.arch.clone(),
-                    n: q.n,
-                    version: rep.row.variant.clone(),
-                    block_size: rep.row.block_size,
-                    coarsen: rep.row.coarsen,
-                    time_ns: rep.row.time_ns,
-                    served,
-                    wall_ms,
-                    workload: Some(rep.row.workload.id()),
-                }
-            }
+        let served = match report.metrics().store.as_ref() {
+            Some(s) if s.warm => Served::Warm,
+            Some(s) if s.seeded => Served::Seeded,
+            _ => Served::Cold,
+        };
+        let answer = Answer {
+            arch: q.arch.clone(),
+            n: q.n,
+            version: report.winner_id(),
+            block_size: report.block_size(),
+            coarsen: report.coarsen(),
+            time_ns: report.time_ns(),
+            served,
+            wall_ms,
+            workload: Some(v.key).filter(|&k| k != WorkloadKey::sum()).map(|k| k.id()),
         };
         {
             let mut m = relock(self.metrics.lock());
@@ -684,9 +651,7 @@ impl TuneService {
                 m.latencies_ms.push(wall_ms);
             }
         }
-        if let RunReport::Reduce(rep) = report {
-            relock(self.resilience.lock()).merge(rep.resilience);
-        }
+        relock(self.resilience.lock()).merge(report.metrics().resilience.clone());
         Reply::Ok(answer)
     }
 
@@ -1276,7 +1241,7 @@ mod tests {
     }
 
     #[test]
-    fn explicit_sum_workload_takes_the_legacy_path_bitwise() {
+    fn explicit_sum_workload_answers_like_a_bare_query() {
         let s = service(2, 0);
         let legacy = s.query(&Query::sweep("kepler", 8_192));
         let typed = s.query(&Query::sweep("kepler", 8_192).with_workload(WorkloadKey::sum()));
@@ -1284,7 +1249,7 @@ mod tests {
         assert_eq!(a.version, b.version);
         assert_eq!(a.block_size, b.block_size);
         assert_eq!(a.time_ns.to_bits(), b.time_ns.to_bits());
-        // The explicit-but-legacy answer also omits the wire field.
+        // The explicit sum-f32 answer also omits the wire field.
         assert_eq!(b.workload, None);
     }
 

@@ -11,17 +11,22 @@
 //!
 //! ## Write protocol (crash safety)
 //!
-//! 1. acquire `store.lock` with `O_CREAT|O_EXCL`, writing our PID —
-//!    a lock left by a dead process (the PID no longer exists) is
-//!    detected as stale and broken;
-//! 2. write the full record to a process-unique `*.tmp` sibling and
-//!    `fsync` it;
+//! 1. acquire `store.lock`: write our PID to a unique temp file and
+//!    `hard_link` it to `store.lock`, so the lock never exists without
+//!    its owner's PID (the link fails with `AlreadyExists` exactly
+//!    like `O_EXCL`; the store directory must therefore support hard
+//!    links). A lock whose owner is dead is stale and broken; an
+//!    empty or unreadable lock only after a grace period;
+//! 2. write the full record to a `*.<seq>.<pid>.tmp` sibling unique
+//!    to this call and `fsync` it;
 //! 3. atomically `rename` over the destination and `fsync` the
 //!    directory.
 //!
 //! A crash at any point leaves either the old record, the new record,
 //! or a `*.tmp` orphan — never a half-written record under the live
-//! name. Orphans are swept out opportunistically by later writers.
+//! name. Orphans of dead writers are swept out by later writers; a
+//! live writer's temp files (this process's included) are never
+//! touched.
 //!
 //! ## Read policy (defensive)
 //!
@@ -41,10 +46,11 @@
 //! [`Session::store`](crate::api::Session::store).
 
 use std::fmt;
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use gpu_sim::hash::{fx_hash_bytes, fx_hash_hex};
 use serde::{Deserialize as _, Serialize, Value};
@@ -289,10 +295,31 @@ const LOCK_FILE: &str = "store.lock";
 const LOCK_RETRIES: u32 = 12;
 const LOCK_RETRY_BASE_MS: u64 = 2;
 const LOCK_RETRY_CAP_MS: u64 = 50;
-/// Age (seconds) past which a lock whose owner cannot be probed is
-/// presumed dead (non-Linux fallback; on Linux `/proc/<pid>` decides).
-#[cfg(not(target_os = "linux"))]
+/// Age (seconds) past which an empty or unreadable lock is presumed
+/// abandoned: a writer that crashed between creating a lock and
+/// writing its PID (locks this module writes always carry one).
+const LOCK_GRACE_SECS: u64 = 10;
+/// Age (seconds) past which a lock or temp file whose owner cannot
+/// be probed is presumed dead (non-Linux fallback; on Linux
+/// `/proc/<pid>` decides).
 const LOCK_STALE_SECS: u64 = 300;
+
+/// Per-process counter that keeps temp-file names unique across the
+/// threads of one process.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// A temp-file path in `dir` unique to this call:
+/// `<stem>.<seq>.<pid>.tmp`. The owner's PID is the last field before
+/// `.tmp` (see [`tmp_owner`]).
+fn tmp_path(dir: &Path, stem: &str) -> PathBuf {
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    dir.join(format!("{stem}.{seq}.{}.tmp", std::process::id()))
+}
+
+/// The PID embedded in a temp-file name (`None` for other files).
+fn tmp_owner(name: &str) -> Option<u32> {
+    name.strip_suffix(".tmp")?.rsplit('.').next()?.parse().ok()
+}
 
 /// A directory of persisted sweep winners for one corpus fingerprint.
 #[derive(Debug, Clone)]
@@ -437,11 +464,7 @@ impl TuningStore {
         let receipt = SaveReceipt { lock_attempts: lock.attempts };
         self.sweep_orphans();
         let path = self.record_path(&rec.key);
-        let tmp = self.dir.join(format!(
-            "{}.{}.tmp",
-            rec.key.file_name(),
-            std::process::id()
-        ));
+        let tmp = tmp_path(&self.dir, &rec.key.file_name());
         let text = encode(rec, self.corpus).map_err(|e| StoreError::Io(e.to_string()))?;
         let write = || -> std::io::Result<()> {
             let mut f = File::create(&tmp)?;
@@ -501,16 +524,16 @@ impl TuningStore {
         None
     }
 
-    /// Remove `*.tmp` orphans left by writers that died mid-protocol.
-    /// Called under the lock, so no live writer's temp file is at
-    /// risk — any temp file we can see either belongs to a dead
-    /// writer or to a previous (completed or abandoned) write of our
-    /// own process.
+    /// Remove `*.tmp` orphans left by writers that died mid-protocol:
+    /// only files whose embedded owner is gone (see [`owner_gone`]).
+    /// A live writer's temp files — another process's lock staging
+    /// file, or one of this process's own — are never touched.
     fn sweep_orphans(&self) {
         let Ok(entries) = fs::read_dir(&self.dir) else { return };
         for entry in entries.flatten() {
             let name = entry.file_name();
-            if name.to_string_lossy().ends_with(".tmp") {
+            if tmp_owner(&name.to_string_lossy()).is_some_and(|pid| owner_gone(pid, &entry.path()))
+            {
                 let _ = fs::remove_file(entry.path());
             }
         }
@@ -575,12 +598,13 @@ fn jittered_ms(attempt: u32, delay: u64) -> u64 {
     half + z % (delay - half + 1)
 }
 
-/// Exclusive writer lock: a `store.lock` file created with
-/// `O_CREAT|O_EXCL` holding the owner's PID. Dropped (removed) when
-/// the guard goes out of scope; locks whose owner died are detected
-/// as stale and broken. Contended acquisition retries on a bounded
-/// exponential backoff with jitter (`LOCK_RETRIES` attempts), and the
-/// guard records how many attempts it took.
+/// Exclusive writer lock: a `store.lock` file holding the owner's
+/// PID, hard-linked into place from a staging file so its content is
+/// visible the instant it exists. Dropped (removed) when the guard
+/// goes out of scope; locks whose owner died are detected as stale
+/// and broken. Contended acquisition retries on a bounded exponential
+/// backoff with jitter (`LOCK_RETRIES` attempts), and the guard
+/// records how many attempts it took.
 struct LockGuard {
     path: PathBuf,
     attempts: u32,
@@ -589,18 +613,23 @@ struct LockGuard {
 impl LockGuard {
     fn acquire(dir: &Path) -> Result<Self, StoreError> {
         let path = dir.join(LOCK_FILE);
+        let staged = tmp_path(dir, LOCK_FILE);
+        fs::write(&staged, std::process::id().to_string())
+            .map_err(|e| StoreError::Io(format!("write {}: {e}", staged.display())))?;
+        let lock = Self::link(&staged, path);
+        let _ = fs::remove_file(&staged);
+        lock
+    }
+
+    fn link(staged: &Path, path: PathBuf) -> Result<Self, StoreError> {
         for attempt in 0..LOCK_RETRIES {
-            match OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(mut f) => {
-                    let _ = write!(f, "{}", std::process::id());
-                    let _ = f.sync_all();
-                    return Ok(LockGuard { path, attempts: attempt + 1 });
-                }
+            match fs::hard_link(staged, &path) {
+                Ok(()) => return Ok(LockGuard { path, attempts: attempt + 1 }),
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
                     if lock_is_stale(&path) {
                         // Break the dead owner's lock and retry the
-                        // exclusive create (racing breakers are fine:
-                        // exactly one create_new wins).
+                        // exclusive link (racing breakers are fine:
+                        // exactly one link wins).
                         let _ = fs::remove_file(&path);
                         continue;
                     }
@@ -613,7 +642,7 @@ impl LockGuard {
                     }
                 }
                 Err(e) => {
-                    return Err(StoreError::Io(format!("create {}: {e}", path.display())))
+                    return Err(StoreError::Io(format!("link {}: {e}", path.display())))
                 }
             }
         }
@@ -631,31 +660,44 @@ impl Drop for LockGuard {
     }
 }
 
-/// Whether the lock at `path` belongs to a process that no longer
-/// exists. A lock without a readable PID is a torn write of the lock
-/// itself — stale by definition. On Linux the owner is probed via
-/// `/proc/<pid>`; elsewhere a conservative age threshold decides.
+/// Whether the lock at `path` belongs to a writer that no longer
+/// exists. A lock holding a PID is stale when that process is gone; a
+/// lock holding anything else is garbage no writer produces. An empty
+/// or unreadable lock may be a writer between creating and filling
+/// it, so it is stale only past [`LOCK_GRACE_SECS`].
 fn lock_is_stale(path: &Path) -> bool {
-    let pid = fs::read_to_string(path).ok().and_then(|s| s.trim().parse::<u32>().ok());
-    let Some(pid) = pid else { return true };
+    match fs::read_to_string(path) {
+        Ok(text) if !text.trim().is_empty() => match text.trim().parse::<u32>() {
+            Ok(pid) => owner_gone(pid, path),
+            Err(_) => true,
+        },
+        _ => older_than(path, LOCK_GRACE_SECS),
+    }
+}
+
+/// Whether the writer `pid` that owns the file at `path` is gone.
+/// This process never is. On Linux `/proc/<pid>` decides; elsewhere
+/// the owner cannot be probed, so a file older than
+/// [`LOCK_STALE_SECS`] is presumed abandoned.
+fn owner_gone(pid: u32, path: &Path) -> bool {
     if pid == std::process::id() {
-        // Our own PID: another thread of this process is writing.
         return false;
     }
-    #[cfg(target_os = "linux")]
-    {
+    if cfg!(target_os = "linux") {
         !Path::new(&format!("/proc/{pid}")).exists()
+    } else {
+        older_than(path, LOCK_STALE_SECS)
     }
-    #[cfg(not(target_os = "linux"))]
-    {
-        match fs::metadata(path).and_then(|m| m.modified()) {
-            Ok(mtime) => mtime
-                .elapsed()
-                .map(|age| age.as_secs() > LOCK_STALE_SECS)
-                .unwrap_or(false),
-            Err(_) => false,
-        }
-    }
+}
+
+/// Whether the file at `path` was last modified at least `secs` ago
+/// (`false` when it is gone or its age is unknown).
+fn older_than(path: &Path, secs: u64) -> bool {
+    fs::metadata(path)
+        .and_then(|m| m.modified())
+        .ok()
+        .and_then(|t| t.elapsed().ok())
+        .is_some_and(|age| age.as_secs() >= secs)
 }
 
 #[cfg(test)]

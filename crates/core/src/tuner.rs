@@ -171,8 +171,17 @@ impl BenchContext {
         sv: &SynthesizedVersion,
         selection: BlockSelection,
     ) -> Result<(f64, Vec<LaunchProfile>, Trace), SimError> {
+        self.profiled(|ctx| ctx.measure_with(sv, selection))
+    }
+
+    /// Run `measure` with site profiling switched on, returning its
+    /// modelled time plus the launches' profiles and the trace.
+    pub(crate) fn profiled(
+        &mut self,
+        measure: impl FnOnce(&mut Self) -> Result<f64, SimError>,
+    ) -> Result<(f64, Vec<LaunchProfile>, Trace), SimError> {
         self.dev.set_profiling(true);
-        let measured = self.measure_with(sv, selection);
+        let measured = measure(self);
         self.dev.set_profiling(false);
         let time_ns = measured?;
         let profiles =

@@ -1,31 +1,25 @@
 //! First-class workloads for the tuning API (`tangram::workload`).
 //!
-//! The original public surface was reduction-shaped: `Reducer::sum`
-//! and friends, a `Session` that swept `CodeVersion`s, a store keyed
-//! by `(op, dtype)` strings. This module makes the *workload* the
-//! unit the tuner speaks: a [`Workload`] names what is computed
-//! ([`WorkloadKey`]: plain reductions, argmin/argmax with index
-//! payloads, bin-indexed histograms) over how many elements, supplies
-//! the deterministic oracle corpus ([`Workload::oracle_input`]) and
-//! the CPU-reference expected value ([`Workload::expected`]), and
-//! [`crate::Session::run`] tunes it end to end.
+//! The *workload* is the unit the tuner speaks: a [`Workload`] names
+//! what is computed ([`WorkloadKey`]: plain reductions, argmin/argmax
+//! with index payloads, bin-indexed histograms, scans, segmented
+//! sums) over how many elements, supplies the deterministic oracle
+//! corpus ([`Workload::oracle_input`]) and the CPU-reference expected
+//! value ([`Workload::expected`]), and [`crate::Session::run`] tunes
+//! it end to end.
 //!
-//! Non-reduce workloads are swept over the six [`WlVariant`]s (three
-//! pass families × two grid distributions) crossed with the same
-//! block-size/coarsening axes as reductions, reusing the evaluation
-//! engine's fan-out, halving masks, and context pool. Winners are
-//! validated against the CPU reference *exactly* (`u64` equality for
-//! packed arg-pairs, per-bin equality for histograms) before they are
-//! reported or persisted.
+//! Non-reduce workloads are swept by the same engine as reductions,
+//! over their kind's [`WlVariant`] menu crossed with the same
+//! block-size/coarsening axes. Winners are validated against the CPU
+//! reference *exactly* (`u64` equality for packed arg-pairs, per-bin
+//! equality for histograms, bitwise output words for scans) before
+//! they are reported or persisted.
 
 use std::str::FromStr;
-use std::time::Instant;
 
-use gpu_sim::exec::BlockSelection;
 use gpu_sim::hash::fx_hash_bytes;
-use gpu_sim::{ArchConfig, Device, ExecMode, RaceReport, SimError};
+use gpu_sim::profile::Trace;
 use serde::Serialize;
-use tangram_codegen::{synthesize_workload_cached, Tuning};
 use tangram_passes::specialize::ReduceOp;
 use tangram_passes::workload::{enumerate_workload_variants, SEGMENT_PATTERN};
 pub use tangram_passes::workload::{
@@ -33,13 +27,9 @@ pub use tangram_passes::workload::{
 };
 
 use crate::api::CandidateRaces;
-use crate::evaluate::{
-    run_jobs_with, survivor_mask, ContextPool, EvalOptions, RungStats, SweepMode,
-};
-use crate::metrics::{SanitizeSummary, StoreSummary};
-use crate::runner::{run_workload, upload};
+use crate::metrics::SweepMetrics;
 use crate::store::STORE_SCHEMA;
-use crate::tuner::{BenchContext, BLOCK_SIZES, COARSEN};
+use crate::tuner::{BLOCK_SIZES, COARSEN};
 
 /// A tuning problem: what to compute ([`WorkloadKey`]) over how many
 /// elements. The single argument of [`crate::Session::run`].
@@ -196,14 +186,14 @@ pub fn segment_map(n: u64) -> Vec<u32> {
     ids
 }
 
-/// Tag of [`workload_input`] in a [`BenchContext`]'s input buffer
-/// (see [`BenchContext::ensure_input`]). Histogram timing depends on
-/// atomic contention, which depends on the data — every measurement
-/// of a workload sweep runs over this one corpus so modelled times
-/// are deterministic for any thread count.
+/// Tag of [`workload_input`] in a sweep context's input buffer (see
+/// [`crate::tuner::BenchContext::ensure_input`]). Histogram timing
+/// depends on atomic contention, which depends on the data — every
+/// measurement of a workload sweep runs over this one corpus so
+/// modelled times are deterministic for any thread count.
 pub(crate) const WORKLOAD_INPUT_TAG: u64 = 0x774c_434f_5250_5553;
 
-/// Tag of [`scan_input`] in a [`BenchContext`]'s input buffer — the
+/// Tag of [`scan_input`] in a sweep context's input buffer — the
 /// scan/segsum corpus is distinct (no planted extremes), so it hashes
 /// under its own tag.
 pub(crate) const SCAN_INPUT_TAG: u64 = 0x5343_414e_434f_5250;
@@ -329,11 +319,11 @@ pub fn expected_value(key: WorkloadKey, data: &[f32]) -> WorkloadValue {
         WorkloadKind::Reduce(ReduceOp::Sum) => {
             WorkloadValue::Scalar(cpu_ref::parallel_sum(data, 1) as f32)
         }
-        WorkloadKind::Reduce(ReduceOp::Max) => {
-            WorkloadValue::Scalar(data.iter().copied().fold(f32::NEG_INFINITY, f32::max))
-        }
-        WorkloadKind::Reduce(ReduceOp::Min) => {
-            WorkloadValue::Scalar(data.iter().copied().fold(f32::INFINITY, f32::min))
+        // Max/min fold from the operator's identity, exactly like the
+        // device's global accumulator (so the empty input answers
+        // `f32::MIN` / `f32::MAX`).
+        WorkloadKind::Reduce(op @ (ReduceOp::Max | ReduceOp::Min)) => {
+            WorkloadValue::Scalar(data.iter().fold(op.identity_f32(), |a, &x| op.fold_f32(a, x)))
         }
         WorkloadKind::ArgMax => WorkloadValue::Packed(cpu_ref::argmax_packed(data)),
         WorkloadKind::ArgMin => WorkloadValue::Packed(cpu_ref::argmin_packed(data)),
@@ -397,212 +387,6 @@ pub fn workload_corpus_fingerprint() -> u64 {
     fx_hash_bytes(desc.as_bytes())
 }
 
-/// One completed workload measurement (the [`crate::evaluate::Measurement`]
-/// analogue for variant sweeps). Winners re-synthesize from
-/// `(key, variant, tuning)` through the process-wide cache, so the
-/// measurement does not carry the kernel.
-#[derive(Debug, Clone)]
-pub(crate) struct WlMeasurement {
-    pub(crate) variant: WlVariant,
-    pub(crate) tuning: Tuning,
-    pub(crate) time_ns: f64,
-}
-
-#[derive(Clone, Copy)]
-pub(crate) struct WlJob {
-    pub(crate) candidate: usize,
-    pub(crate) variant: WlVariant,
-    pub(crate) tuning: Tuning,
-}
-
-/// The canonical job enumeration of a workload sweep: every variant
-/// (family-major) crossed with every block size and coarsening
-/// factor. Variant index is the "candidate" the halving masks group
-/// by.
-pub(crate) fn wl_jobs_for(variants: &[WlVariant]) -> Vec<WlJob> {
-    let mut jobs = Vec::new();
-    for (candidate, &variant) in variants.iter().enumerate() {
-        for &block_size in &BLOCK_SIZES {
-            for &coarsen in &COARSEN {
-                jobs.push(WlJob { candidate, variant, tuning: Tuning { block_size, coarsen } });
-            }
-        }
-    }
-    jobs
-}
-
-/// Measure one workload job; `Ok(None)` marks an infeasible
-/// combination (synthesis failure or a launch exceeding hardware
-/// limits), mirroring [`crate::evaluate::measure_job`].
-fn measure_wl_job(
-    ctx: &mut BenchContext,
-    key: WorkloadKey,
-    job: WlJob,
-    screen: bool,
-) -> Result<Option<WlMeasurement>, SimError> {
-    let Ok(sw) = synthesize_workload_cached(key, job.variant, job.tuning) else {
-        return Ok(None);
-    };
-    let (tag, make) = workload_corpus(key);
-    ctx.ensure_input(tag, make)?;
-    let measured =
-        if screen { ctx.measure_workload_screen(&sw) } else { ctx.measure_workload(&sw) };
-    match measured {
-        Ok(time_ns) => {
-            Ok(Some(WlMeasurement { variant: job.variant, tuning: job.tuning, time_ns }))
-        }
-        Err(SimError::InvalidLaunch(_)) => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
-/// Sweep every tuning of `variants` for `key` over the pool,
-/// exhaustively or with the same screen/survivor halving the
-/// reduction sweep uses. The returned vector has one slot per job in
-/// canonical order; `None` marks infeasible (and, under halving,
-/// pruned) jobs. Slot layout and values are identical for any thread
-/// count.
-pub(crate) fn evaluate_workload(
-    pool: &ContextPool,
-    key: WorkloadKey,
-    variants: &[WlVariant],
-    opts: &EvalOptions,
-) -> Result<(Vec<Option<WlMeasurement>>, Vec<RungStats>), SimError> {
-    let jobs = wl_jobs_for(variants);
-    let threads = opts.threads;
-    match opts.sweep {
-        SweepMode::Exhaustive => {
-            let t0 = Instant::now();
-            let results = run_jobs_with(pool, &jobs, threads, &|ctx, job| {
-                measure_wl_job(ctx, key, job, false)
-            })?;
-            let stats = RungStats::tally("full", jobs.len(), &results, t0);
-            Ok((results, vec![stats]))
-        }
-        SweepMode::Halving => {
-            let t0 = Instant::now();
-            let screen = run_jobs_with(pool, &jobs, threads, &|ctx, job| {
-                measure_wl_job(ctx, key, job, true)
-            })?;
-            let screen_stats = RungStats::tally("screen", jobs.len(), &screen, t0);
-            let times: Vec<Option<f64>> =
-                screen.iter().map(|m| m.as_ref().map(|m| m.time_ns)).collect();
-            let cand_of: Vec<usize> = jobs.iter().map(|j| j.candidate).collect();
-            let keep = survivor_mask(&cand_of, &times);
-            let surviving: Vec<usize> = (0..jobs.len()).filter(|&i| keep[i]).collect();
-
-            let t1 = Instant::now();
-            let subset: Vec<WlJob> = surviving.iter().map(|&i| jobs[i]).collect();
-            let full = run_jobs_with(pool, &subset, threads, &|ctx, job| {
-                measure_wl_job(ctx, key, job, false)
-            })?;
-            let mut out: Vec<Option<WlMeasurement>> = Vec::new();
-            out.resize_with(jobs.len(), || None);
-            let mut measured = 0;
-            for (&i, m) in surviving.iter().zip(full) {
-                measured += usize::from(m.is_some());
-                out[i] = m;
-            }
-            let survivor_stats = RungStats {
-                rung: "survivor".to_string(),
-                jobs: surviving.len(),
-                measured,
-                wall_ms: t1.elapsed().as_secs_f64() * 1e3,
-            };
-            Ok((out, vec![screen_stats, survivor_stats]))
-        }
-    }
-}
-
-/// The fastest full-fidelity workload measurement (strictly `<`, ties
-/// to the earlier canonical slot — same rule as
-/// [`crate::evaluate::best_measurement`]).
-pub(crate) fn best_wl_measurement(results: &[Option<WlMeasurement>]) -> Option<&WlMeasurement> {
-    let mut best: Option<&WlMeasurement> = None;
-    for m in results.iter().flatten() {
-        if best.is_none_or(|b| m.time_ns < b.time_ns) {
-            best = Some(m);
-        }
-    }
-    best
-}
-
-/// Run one variant of `key` under the race sanitizer at its first
-/// feasible tuning over the oracle corpus (histogram hazards are
-/// data-dependent, so the screen runs the same corpus the sweep
-/// times). Mirrors the reduction sweep's candidate screen.
-pub(crate) fn sanitize_workload_variant(
-    arch: &ArchConfig,
-    n: u64,
-    key: WorkloadKey,
-    candidate: usize,
-    variant: WlVariant,
-) -> Result<Option<CandidateRaces>, SimError> {
-    for &block_size in &BLOCK_SIZES {
-        for &coarsen in &COARSEN {
-            let tuning = Tuning { block_size, coarsen };
-            let Ok(sw) = synthesize_workload_cached(key, variant, tuning) else { continue };
-            let mut dev = Device::new(arch.clone());
-            dev.set_sanitizing(true);
-            let input = upload(&mut dev, &workload_input_for(key, n))?;
-            match run_workload(&mut dev, &sw, input, n, BlockSelection::All) {
-                Ok(_) => {
-                    let reports: Vec<RaceReport> =
-                        dev.launches().iter().filter_map(|l| l.races.clone()).collect();
-                    return Ok(Some(CandidateRaces {
-                        candidate,
-                        version: variant.id(),
-                        block_size,
-                        coarsen,
-                        reports,
-                    }));
-                }
-                Err(SimError::InvalidLaunch(_)) => continue,
-                Err(_) => return Ok(None),
-            }
-        }
-    }
-    Ok(None)
-}
-
-/// Outcome of validating one variant tuning against the CPU
-/// reference.
-#[derive(Debug, Clone)]
-pub(crate) struct OracleCheck {
-    /// The device's output.
-    pub(crate) got: WorkloadValue,
-    /// The CPU reference's output.
-    pub(crate) want: WorkloadValue,
-}
-
-impl OracleCheck {
-    pub(crate) fn ok(&self) -> bool {
-        self.got == self.want
-    }
-}
-
-/// Run `(variant, tuning)` of `key` exactly over the oracle corpus at
-/// `on` elements under `interp`, and compare to the CPU reference.
-/// The comparison is exact: packed `u64` equality for arg-reductions,
-/// per-bin `u32` equality for histograms.
-pub(crate) fn validate_workload_winner(
-    arch: &ArchConfig,
-    interp: ExecMode,
-    key: WorkloadKey,
-    variant: WlVariant,
-    tuning: Tuning,
-    on: u64,
-) -> Result<OracleCheck, SimError> {
-    let sw = synthesize_workload_cached(key, variant, tuning)
-        .map_err(|e| SimError::InvalidLaunch(format!("winner failed to re-synthesize: {e}")))?;
-    let data = workload_input_for(key, on);
-    let mut dev = Device::new(arch.clone());
-    dev.set_exec_mode(interp);
-    let input = upload(&mut dev, &data)?;
-    let got = run_workload(&mut dev, &sw, input, on, BlockSelection::All)?;
-    Ok(OracleCheck { got, want: expected_value(key, &data) })
-}
-
 /// The winning row of a workload sweep — the [`crate::SelectionRow`]
 /// analogue, keyed by the typed workload and naming the winning
 /// variant by its compact id (`DT-AG`).
@@ -622,44 +406,6 @@ pub struct WorkloadRow {
     pub time_ns: f64,
 }
 
-/// Sweep-level observability for one workload sweep (the
-/// [`crate::SweepMetrics`] analogue). Every counter is bit-identical
-/// for any thread count; only `wall_ms` is host wall-clock.
-#[derive(Debug, Clone, Serialize)]
-pub struct WorkloadMetrics {
-    /// Architecture identifier.
-    pub arch: String,
-    /// Array size (elements).
-    pub n: u64,
-    /// The workload that was tuned.
-    pub workload: WorkloadKey,
-    /// Sweep strategy (`exhaustive`/`halving`).
-    pub mode: String,
-    /// Interpreter hot path (`reference`/`uop`/`compiled`).
-    pub interp: String,
-    /// Evaluation worker threads.
-    pub threads: usize,
-    /// Per-rung job counts and wall-clock timings.
-    pub rungs: Vec<RungStats>,
-    /// Jobs in the canonical enumeration.
-    pub total_jobs: usize,
-    /// Jobs measured at full fidelity.
-    pub measured: usize,
-    /// Jobs pruned by the halving screen (0 for exhaustive sweeps).
-    pub pruned: usize,
-    /// Infeasible jobs (synthesis failures and launches over limits).
-    pub infeasible: usize,
-    /// Race-sanitizer screen totals (present when the sweep ran
-    /// sanitized).
-    pub sanitize: Option<SanitizeSummary>,
-    /// Persistent tuning-store outcome (present when the session has
-    /// a store configured).
-    pub store: Option<StoreSummary>,
-    /// Wall-clock of the whole sweep in milliseconds
-    /// (nondeterministic; excluded from determinism checks).
-    pub wall_ms: f64,
-}
-
 /// Everything [`crate::Session::run`] reports for a non-reduce
 /// workload sweep.
 #[derive(Debug, Clone)]
@@ -677,7 +423,10 @@ pub struct WorkloadReport {
     /// ran sanitized).
     pub races: Option<Vec<CandidateRaces>>,
     /// Sweep-level counters.
-    pub metrics: WorkloadMetrics,
+    pub metrics: SweepMetrics,
+    /// Chrome-traceable scheduler events of the profiled winner
+    /// re-run; `None` when the session does not profile.
+    pub trace: Option<Trace>,
 }
 
 impl WorkloadReport {
@@ -726,14 +475,6 @@ mod tests {
         };
         assert_eq!(bins.len(), 64);
         assert_eq!(bins.iter().map(|&c| u64::from(c)).sum::<u64>(), 4096);
-    }
-
-    #[test]
-    fn job_enumeration_is_variant_major() {
-        let variants = enumerate_workload_variants();
-        let jobs = wl_jobs_for(&variants);
-        assert_eq!(jobs.len(), variants.len() * BLOCK_SIZES.len() * COARSEN.len());
-        assert!(jobs.windows(2).all(|w| w[0].candidate <= w[1].candidate));
     }
 
     #[test]

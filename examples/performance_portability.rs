@@ -13,7 +13,7 @@
 //! performance-portable.
 
 use gpu_sim::ArchConfig;
-use tangram::select::select_best;
+use tangram::Session;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sizes: [u64; 4] = [256, 16_384, 1 << 20, 16 << 20];
@@ -22,8 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "architecture", "n", "label", "winning version", "time (µs)"
     );
     for arch in ArchConfig::paper_archs() {
+        let session = Session::new(arch.clone());
         for &n in &sizes {
-            let (_tuned, row) = select_best(&arch, n)?;
+            let row = session.select_best(n)?.row;
             println!(
                 "{:<18}{:>12}{:>8}{:>26}{:>14.1}",
                 arch.id,

@@ -253,22 +253,6 @@ for f in crates/bench/tests/*.rs; do
   }
 done
 
-echo "== deprecation check (shimmed sum/max/min entry points stay dead) =="
-# The classic Reducer::sum/max/min/reduce shims exist only for source
-# compatibility; the sole permitted call sites are the regression
-# tests next to the shims in crates/core/src/api.rs. Any other
-# #[allow(deprecated)] means a shimmed call site crept back in (the
-# workspace builds with -D warnings, so a shimmed call *requires* the
-# allow — this grep is therefore exhaustive).
-stray=$(grep -rln 'allow(deprecated)' crates tests examples benches src 2>/dev/null \
-  | grep -v '^crates/core/src/api.rs$' || true)
-if [ -n "$stray" ]; then
-  echo "DEPRECATED SHIM CALL SITES OUTSIDE crates/core/src/api.rs:" >&2
-  echo "$stray" >&2
-  exit 1
-fi
-echo "  allow(deprecated) confined to crates/core/src/api.rs"
-
 echo "== fault-injection smoke campaign (seed 7, 400 ppm) =="
 # A seeded campaign must (a) still produce a winner, (b) report that
 # every injected fault was detected-and-recovered or quarantined (no
@@ -307,6 +291,38 @@ if [ "$clean_winner" != "$fault_winner" ]; then
   echo "  fault: $fault_winner" >&2
   exit 1
 fi
+
+echo "== one engine for every key (profile + fault-campaign smoke on four workloads) =="
+# Every workload key runs through the same sweep engine, so profiling
+# and fault campaigns apply to all of them: each must print its
+# profile:/resilience: line, inject faults without letting any through
+# silently, replay identically at any thread count, and keep the plain
+# sweep's winner tail byte for byte.
+for workload in argmax hist64 scan segsum; do
+  wsweep() {
+    ./target/release/sweep --arch maxwell --n 4096 --workload "$workload" "$@" \
+      | sed 's/wall_ms=[0-9.]*//; s/threads=[0-9]*//'
+  }
+  plain=$(wsweep --threads 1 | grep -o 'winner=.*')
+  profiled=$(wsweep --threads 1 --profile)
+  echo "$profiled" | grep -q '^profile: ' \
+    || { echo "$workload: profiled sweep printed no profile: line" >&2; exit 1; }
+  [ "$(echo "$profiled" | grep -o 'winner=.*')" = "$plain" ] \
+    || { echo "$workload: profiling changed the winner: $profiled" >&2; exit 1; }
+  f1=$(wsweep --threads 1 --fault-seed 7 --fault-rate 400)
+  f4=$(wsweep --threads 4 --fault-seed 7 --fault-rate 400)
+  [ "$f1" = "$f4" ] \
+    || { echo "$workload: campaign differs between --threads 1 and 4:" >&2; echo "$f1" >&2; echo "$f4" >&2; exit 1; }
+  wres=$(echo "$f1" | grep '^resilience:') \
+    || { echo "$workload: campaign printed no resilience: line" >&2; exit 1; }
+  echo "$wres" | grep -q ' silent=0$' \
+    || { echo "$workload: campaign let a fault through: $wres" >&2; exit 1; }
+  [ "$(echo "$wres" | sed 's/.*faults=\([0-9]*\).*/\1/')" -gt 0 ] \
+    || { echo "$workload: campaign injected no faults: $wres" >&2; exit 1; }
+  [ "$(echo "$f1" | grep -o 'winner=.*')" = "$plain" ] \
+    || { echo "$workload: campaign changed the winner: $f1" >&2; exit 1; }
+  echo "  $workload: profiled and campaign winners match the plain sweep; $wres"
+done
 
 echo "== tuning daemon smoke (cold → warm → dedup burst, identity vs sweep, clean shutdown) =="
 serve_sock="/tmp/verify_tuned_$$.sock"

@@ -4,8 +4,14 @@
 //! full-scale numbers.
 
 use gpu_sim::ArchConfig;
-use tangram::select::select_best;
+use tangram::{SelectionRow, Session};
 use tangram_bench::{measure_cub, measure_kokkos};
+
+/// The best pruned version for `n` elements on `arch` (default engine
+/// options).
+fn select_best(arch: &ArchConfig, n: u64) -> SelectionRow {
+    Session::new(arch.clone()).select_best(n).unwrap().row
+}
 
 /// §IV-C1: "Tangram-synthesized code performs significantly better
 /// than the hand-written CUB code for small and medium-size arrays,
@@ -15,7 +21,7 @@ use tangram_bench::{measure_cub, measure_kokkos};
 fn tangram_beats_cub_below_1m_on_every_architecture() {
     for arch in ArchConfig::paper_archs() {
         for n in [256u64, 16_384, 262_144] {
-            let (_t, row) = select_best(&arch, n).unwrap();
+            let row = select_best(&arch, n);
             let cub = measure_cub(&arch, n).unwrap();
             let speedup = cub / row.time_ns;
             assert!(
@@ -34,7 +40,7 @@ fn tangram_beats_cub_below_1m_on_every_architecture() {
 fn cub_wins_large_arrays_via_vectorized_loads() {
     for arch in ArchConfig::paper_archs() {
         let n = 64 << 20;
-        let (_t, row) = select_best(&arch, n).unwrap();
+        let row = select_best(&arch, n);
         let cub = measure_cub(&arch, n).unwrap();
         let ratio = row.time_ns / cub; // >1 = Tangram slower
         assert!(
@@ -52,7 +58,7 @@ fn cub_wins_large_arrays_via_vectorized_loads() {
 fn kepler_large_array_penalty_exceeds_maxwell() {
     let ratio = |arch: &ArchConfig| {
         let n = 64 << 20;
-        let (_t, row) = select_best(arch, n).unwrap();
+        let row = select_best(arch, n);
         row.time_ns / measure_cub(arch, n).unwrap()
     };
     let kepler = ratio(&ArchConfig::kepler_k40c());
@@ -105,8 +111,8 @@ fn openmp_wins_small_loses_large() {
 /// shared-atomic version the small-array winner.
 #[test]
 fn shared_atomic_preference_flips_between_kepler_and_maxwell() {
-    let (_t, kepler_row) = select_best(&ArchConfig::kepler_k40c(), 1024).unwrap();
-    let (_t, maxwell_row) = select_best(&ArchConfig::maxwell_gtx980(), 1024).unwrap();
+    let kepler_row = select_best(&ArchConfig::kepler_k40c(), 1024);
+    let maxwell_row = select_best(&ArchConfig::maxwell_gtx980(), 1024);
     assert!(
         !kepler_row.version.uses_shared_atomics() || kepler_row.block_size == 32,
         "Kepler winner {} should avoid contended shared atomics",
@@ -127,7 +133,7 @@ fn winners_are_always_pruned_versions() {
     let pruned = planner::enumerate_pruned();
     for arch in ArchConfig::paper_archs() {
         for n in [256u64, 65_536] {
-            let (_t, row) = select_best(&arch, n).unwrap();
+            let row = select_best(&arch, n);
             assert!(pruned.contains(&row.version));
         }
     }
@@ -139,7 +145,7 @@ fn winners_are_always_pruned_versions() {
 fn winning_version_differs_across_architectures() {
     let winners: Vec<String> = ArchConfig::paper_archs()
         .iter()
-        .map(|arch| select_best(arch, 1024).unwrap().1.version.to_string())
+        .map(|arch| select_best(arch, 1024).version.to_string())
         .collect();
     assert!(
         winners.iter().collect::<std::collections::HashSet<_>>().len() >= 2,

@@ -7,7 +7,7 @@ use gpu_sim::isa::{CmpOp, Operand, Sreg, Ty};
 use gpu_sim::kernel::KernelBuilder;
 use gpu_sim::{ArchConfig, Device, FaultPlan, LaunchDims, SimError};
 use proptest::prelude::*;
-use tangram::evaluate::{evaluate_all, best_measurement, ContextPool, EvalOptions};
+use tangram::evaluate::{best_measurement, ContextPool, EvalOptions};
 use tangram::resilience::{evaluate_all_report, ResilienceOptions};
 use tangram::tangram_codegen::{synthesize, Tuning};
 use tangram::tangram_passes::planner;
@@ -94,7 +94,8 @@ fn campaign_winner_matches_clean_sweep() {
     let cands = support::fig6_subset();
     let pool = ContextPool::new(&arch, 4_096);
     let opts = EvalOptions::serial();
-    let clean = evaluate_all(&pool, cands, &opts).unwrap();
+    let (clean, _) =
+        evaluate_all_report(&pool, cands, &opts, &ResilienceOptions::default()).unwrap();
     let (faulty, report) =
         evaluate_all_report(&pool, cands, &opts, &ResilienceOptions::campaign(11, 500)).unwrap();
     assert!(report.faults_injected > 0);

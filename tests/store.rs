@@ -385,50 +385,122 @@ fn concurrent_writers_never_tear_lose_or_leak() {
 }
 
 #[test]
+fn barrier_aligned_saves_in_one_process_all_land() {
+    // THREADS writers of one process release ROUNDS saves at the same
+    // instant (a barrier before every round). The writer lock must
+    // stay exclusive while its owner is alive, and no writer may
+    // delete another's temp file: every save succeeds, every record
+    // reads back, and no lock or temp file is left behind.
+    const THREADS: usize = 4;
+    const ROUNDS: u32 = 25;
+    let dir = store_dir("barrier");
+    fs::create_dir_all(&dir).unwrap();
+    let barrier = std::sync::Arc::new(std::sync::Barrier::new(THREADS));
+    let record = |t: usize, round: u32| {
+        let n = 64u64 << round;
+        tangram::StoreRecord {
+            key: StoreKey::for_sweep(&format!("writer{t}"), n),
+            n,
+            version: "DT,A / DS+S+V".to_string(),
+            block_size: 128,
+            coarsen: 4,
+            time_ns_bits: (n as f64).to_bits(),
+        }
+    };
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (dir, barrier) = (dir.clone(), std::sync::Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                let store = TuningStore::open(&dir, 1).unwrap();
+                // Failures are collected, not panicked on: a panicking
+                // writer would strand the others at the barrier.
+                let mut failures = Vec::new();
+                for round in 0..ROUNDS {
+                    barrier.wait();
+                    if let Err(e) = store.save(&record(t, round)) {
+                        failures.push(format!("writer {t} round {round}: {e}"));
+                    }
+                }
+                failures
+            })
+        })
+        .collect();
+    let failures: Vec<String> =
+        handles.into_iter().flat_map(|h| h.join().expect("writer thread panicked")).collect();
+    assert!(failures.is_empty(), "saves failed: {failures:?}");
+
+    let store = TuningStore::open(&dir, 1).unwrap();
+    for t in 0..THREADS {
+        for round in 0..ROUNDS {
+            let want = record(t, round);
+            match store.load(&want.key) {
+                tangram::Lookup::Hit(rec) => assert_eq!(rec.n, want.n),
+                other => panic!("writer {t} round {round}: record lost: {other:?}"),
+            }
+        }
+    }
+    for entry in fs::read_dir(&dir).unwrap().flatten() {
+        let name = entry.file_name().to_string_lossy().into_owned();
+        assert!(name.ends_with(".json"), "leaked non-record file: {name}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn nearest_bucket_seeds_the_sweep_and_keeps_winners_bitwise() {
     // An exact miss next to a cached neighbor must warm-start the
     // halving sweep (summary.seeded) and still return the storeless
     // winner bit for bit — the seed narrows the search, never steers
     // it. 65_536 is bucket 17, 131_072 bucket 18, 1_048_576 bucket 21
     // (two buckets out from 18): both directions of nearest-neighbor
-    // seeding are exercised.
+    // seeding are exercised, for sum-f32 on every architecture and
+    // for segsum-f32 (a variant menu) on one.
     use tangram::evaluate::SweepMode;
+    use tangram::{Dtype, RunReport, Workload, WorkloadKey};
     let halving =
         |arch: &ArchConfig| Session::new(arch.clone()).eval(
             EvalOptions::serial().with_sweep(SweepMode::Halving),
         );
-    for arch in ArchConfig::paper_archs() {
-        let dir = store_dir(&format!("seeded-{}", arch.id));
+    let tail = |r: &RunReport| {
+        format!("{} {} {} {}", r.winner_id(), r.block_size(), r.coarsen(), r.time_ns().to_bits())
+    };
+    let mut cases: Vec<(ArchConfig, WorkloadKey)> =
+        ArchConfig::paper_archs().into_iter().map(|a| (a, WorkloadKey::sum())).collect();
+    cases.push((ArchConfig::pascal_p100(), WorkloadKey::segsum(Dtype::F32)));
+    for (arch, key) in cases {
+        let dir = store_dir(&format!("seeded-{}-{}", arch.id, key.id()));
         let cached = halving(&arch).store(&dir);
+        let ctx = format!("{} {}", arch.id, key.id());
 
         // Empty store: a plain miss, nothing to seed from.
-        let first = cached.select_best(65_536).unwrap();
-        let s = first.metrics.store.as_ref().expect("store summary present");
-        assert!(!s.seeded, "{}: empty store cannot seed", arch.id);
-        assert_eq!(s.outcome, "miss", "{}", arch.id);
+        let first = cached.run(&Workload::new(key, 65_536)).unwrap();
+        let s = first.metrics().store.as_ref().expect("store summary present");
+        assert!(!s.seeded, "{ctx}: empty store cannot seed");
+        assert_eq!(s.outcome, "miss", "{ctx}");
 
         for n in [131_072u64, 1_048_576] {
-            let cold = halving(&arch).select_best(n).unwrap();
-            let report = cached.select_best(n).unwrap();
-            assert_same_winner(&cold, &report, &format!("seeded n={n} on {}", arch.id));
-            let s = report.metrics.store.as_ref().expect("store summary present");
-            assert!(s.seeded, "{} n={n}: neighbor present, sweep must seed", arch.id);
+            let cold = halving(&arch).run(&Workload::new(key, n)).unwrap();
+            let report = cached.run(&Workload::new(key, n)).unwrap();
+            assert_eq!(tail(&cold), tail(&report), "seeded n={n} on {ctx}");
+            let s = report.metrics().store.as_ref().expect("store summary present");
+            assert!(s.seeded, "{ctx} n={n}: neighbor present, sweep must seed");
             assert!(
                 s.detail.as_deref().is_some_and(|d| d.contains("seeded from")),
-                "{} n={n}: detail must name the seed record, got {:?}",
-                arch.id,
+                "{ctx} n={n}: detail must name the seed record, got {:?}",
                 s.detail
             );
-            assert_eq!(s.outcome, "miss", "{} n={n}: seeding is still a miss", arch.id);
-            assert!(s.saved, "{} n={n}: the seeded sweep writes its own bucket", arch.id);
+            assert_eq!(s.outcome, "miss", "{ctx} n={n}: seeding is still a miss");
+            assert!(s.saved, "{ctx} n={n}: the seeded sweep writes its own bucket");
             // A seeded sweep that confirms its seed measures fewer
             // full-fidelity jobs than the unseeded halving rung; it
             // must at least never measure more.
+            let rungs = match &report {
+                RunReport::Reduce(r) => &r.metrics.rungs,
+                RunReport::Workload(r) => &r.metrics.rungs,
+            };
             assert!(
-                report.metrics.rungs.iter().any(|r| r.rung == "seeded"),
-                "{} n={n}: rung stats must show the seeded rung, got {:?}",
-                arch.id,
-                report.metrics.rungs
+                rungs.iter().any(|r| r.rung == "seeded"),
+                "{ctx} n={n}: rung stats must show the seeded rung, got {rungs:?}"
             );
         }
         let _ = fs::remove_dir_all(&dir);

@@ -5,26 +5,43 @@
 //! change any measurement.
 
 use gpu_sim::{ArchConfig, ExecMode};
-use tangram::evaluate::{best_measurement, evaluate_all, ContextPool, EvalOptions, SweepMode};
+use tangram::api::Session;
+use tangram::evaluate::{ContextPool, EvalOptions, Measurement, SweepMode};
+use tangram::resilience::{evaluate_all_report, ResilienceOptions};
+use tangram::tangram_passes::planner::CodeVersion;
 mod support;
+
+/// Every job slot of a sweep over `candidates` under the default
+/// resilience policy (no faults, no validation), which yields the
+/// clean engine's slots bit for bit (the engine's own unit tests pin
+/// that equivalence).
+fn slots(
+    pool: &ContextPool,
+    candidates: &[CodeVersion],
+    opts: &EvalOptions,
+) -> Vec<Option<Measurement>> {
+    evaluate_all_report(pool, candidates, opts, &ResilienceOptions::default()).unwrap().0
+}
 
 #[test]
 fn halving_winner_matches_exhaustive_on_full_corpus() {
-    let candidates = support::pruned();
     for arch in ArchConfig::paper_archs() {
-        let pool = ContextPool::new(&arch, 65_536);
-        let exhaustive = evaluate_all(&pool, candidates, &EvalOptions::default()).unwrap();
-        let halving = evaluate_all(
-            &pool,
-            candidates,
-            &EvalOptions::default().with_sweep(SweepMode::Halving),
-        )
-        .unwrap();
+        let session = Session::new(arch.clone());
+        let exhaustive = session.clone().eval(EvalOptions::default()).select_best(65_536);
+        let exhaustive = exhaustive.unwrap();
+        let halving = session
+            .eval(EvalOptions::default().with_sweep(SweepMode::Halving))
+            .select_best(65_536)
+            .unwrap();
 
-        let (be, bh) =
-            (best_measurement(&exhaustive).unwrap(), best_measurement(&halving).unwrap());
+        let (be, bh) = (&exhaustive.row, &halving.row);
         assert_eq!(be.version, bh.version, "winner version differs on {}", arch.id);
-        assert_eq!(be.tuning, bh.tuning, "winner tuning differs on {}", arch.id);
+        assert_eq!(
+            (be.block_size, be.coarsen),
+            (bh.block_size, bh.coarsen),
+            "winner tuning differs on {}",
+            arch.id
+        );
         assert_eq!(
             be.time_ns.to_bits(),
             bh.time_ns.to_bits(),
@@ -32,23 +49,17 @@ fn halving_winner_matches_exhaustive_on_full_corpus() {
             arch.id
         );
 
-        // Every surviving job is a full-fidelity measurement, so its
-        // value must be bitwise identical to the exhaustive sweep's;
-        // the screen must also have pruned a substantial share.
-        let mut pruned = 0usize;
-        for (e, h) in exhaustive.iter().zip(&halving) {
-            match (e, h) {
-                (_, None) => pruned += 1,
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.time_ns.to_bits(), b.time_ns.to_bits(), "on {}", arch.id);
-                }
-                (None, Some(_)) => panic!("halving measured an infeasible job on {}", arch.id),
-            }
-        }
-        let feasible = exhaustive.iter().flatten().count();
+        // Both sweeps see the same feasible space, and the screen must
+        // have pruned a substantial share of it.
+        let (e, h) = (&exhaustive.resilience, &halving.resilience);
+        assert_eq!(e.total_jobs, h.total_jobs, "on {}", arch.id);
+        assert_eq!(e.infeasible, h.infeasible, "on {}", arch.id);
+        assert_eq!(e.measured, h.measured + h.pruned, "on {}", arch.id);
         assert!(
-            pruned * 2 > feasible,
-            "halving pruned only {pruned} of {feasible} feasible jobs on {}",
+            h.pruned * 2 > e.measured,
+            "halving pruned only {} of {} feasible jobs on {}",
+            h.pruned,
+            e.measured,
             arch.id
         );
     }
@@ -62,10 +73,10 @@ fn interpreter_hot_path_does_not_change_measurements() {
     let arch = ArchConfig::kepler_k40c();
     let uop = ContextPool::builder(&arch, 32_768).exec_mode(ExecMode::Predecoded).build();
     let opts = EvalOptions::serial();
-    let a = evaluate_all(&uop, candidates, &opts).unwrap();
+    let a = slots(&uop, candidates, &opts);
     for mode in [ExecMode::Reference, ExecMode::Compiled] {
         let pool = ContextPool::builder(&arch, 32_768).exec_mode(mode).build();
-        let b = evaluate_all(&pool, candidates, &opts).unwrap();
+        let b = slots(&pool, candidates, &opts);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             match (x, y) {
