@@ -676,19 +676,17 @@ impl Session {
         let (results, rungs, mut resilience) = match &self.res {
             None => {
                 let (results, rungs) = evaluate(&pool, &menu, &opts)?;
-                let mut rep = ResilienceReport {
+                // Every job is measured, pruned by a rung (halving's
+                // screen or bound), or infeasible.
+                let measured = results.iter().flatten().count();
+                let pruned = rungs.iter().map(|r| r.pruned).sum();
+                let rep = ResilienceReport {
                     total_jobs: results.len(),
-                    measured: results.iter().flatten().count(),
+                    measured,
+                    infeasible: results.len() - measured - pruned,
+                    pruned,
                     ..ResilienceReport::default()
                 };
-                // Halving: the screen rung sees every feasible job;
-                // survivors not re-measured were pruned.
-                let screened = match opts.sweep {
-                    SweepMode::Exhaustive => rep.measured,
-                    SweepMode::Halving => rungs.first().map_or(0, |r| r.measured),
-                };
-                rep.infeasible = rep.total_jobs - screened;
-                rep.pruned = screened.saturating_sub(rep.measured);
                 (results, rungs, rep)
             }
             Some(res) => {
@@ -886,6 +884,7 @@ impl Session {
                 rung: "cache-confirm".to_string(),
                 jobs: 1,
                 measured: 1,
+                pruned: 0,
                 wall_ms: tc.elapsed().as_secs_f64() * 1e3,
             }],
             resilience: ResilienceReport {
@@ -1114,9 +1113,12 @@ mod tests {
         let r = &rep.resilience;
         assert!(r.pruned > 0, "halving must prune part of the space");
         assert_eq!(r.total_jobs, r.measured + r.infeasible + r.pruned);
-        assert_eq!(rep.metrics.rungs.len(), 2, "halving has screen + survivor rungs");
-        assert_eq!(rep.metrics.rungs[0].rung, "screen");
-        assert!(rep.metrics.rungs[1].jobs < rep.metrics.rungs[0].jobs);
+        let rungs = &rep.metrics.rungs;
+        let names: Vec<&str> = rungs.iter().map(|r| r.rung.as_str()).collect();
+        assert_eq!(names, ["screen", "survivor", "bounded"]);
+        assert!(rungs[1].jobs < rungs[0].jobs);
+        let pruned: usize = rungs.iter().map(|r| r.pruned).sum();
+        assert_eq!(r.pruned, pruned, "the report counts what the rungs pruned");
     }
 
     #[test]

@@ -22,15 +22,30 @@
 //! ## Successive halving
 //!
 //! [`SweepMode::Halving`] replaces the exhaustive full-fidelity sweep
-//! with two rungs. The *screening* rung measures every job with a
-//! minimal sampled launch ([`BenchContext::measure_screen`]) — cheap,
-//! deterministic, and monotone enough to rank tunings. The *survivor*
-//! rung re-measures only the strongest screened jobs (the global top
-//! eighth plus every candidate's own screen-best) at the normal
-//! fidelity, in canonical order. Survivor measurements therefore go
-//! through the exact code path of the exhaustive sweep, so any job
-//! that survives — in particular the winner — carries a bit-identical
-//! `time_ns`; pruned jobs simply report `None`, like infeasible ones.
+//! with rungs over two statically split sets of jobs. A job whose
+//! plan's grid is small enough that every fidelity runs every block
+//! ([`BenchContext::exact_regime`]) is *exact-regime*; every other job
+//! is *sampled*.
+//!
+//! - The *screening* rung measures every sampled job with a minimal
+//!   sampled launch ([`BenchContext::measure_screen`]) — cheap,
+//!   deterministic, and monotone enough to rank tunings. The
+//!   *survivor* rung re-measures only the strongest screened jobs (the
+//!   top eighth, counted over every job, plus every candidate's own
+//!   sampled screen-best) at the normal fidelity.
+//! - The *bounded* rung measures each exact-regime job once, at full
+//!   fidelity, and abandons it as soon as a proven lower bound on its
+//!   time ([`gpu_sim::launch_lower_bound`]) strictly exceeds the
+//!   fastest full-fidelity time so far. The incumbent only falls
+//!   between canonical-order chunks of a fixed size, so the
+//!   abandoned set does not depend on the thread count.
+//!
+//! Every measurement that completes goes through the exact code path
+//! of the exhaustive sweep, so any job measured — in particular the
+//! winner — carries a bit-identical `time_ns`; pruned jobs simply
+//! report `None`, like infeasible ones. A job abandoned by the bound
+//! provably ends slower than one already measured, so it can neither
+//! win nor tie.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -52,11 +67,13 @@ pub enum SweepMode {
     /// library default).
     #[default]
     Exhaustive,
-    /// Successive halving: screen every job with a minimal sampled
-    /// launch, then re-measure only the survivors (global top eighth
-    /// plus each candidate's screen-best) at full fidelity. Pruned
-    /// jobs report `None`; surviving jobs are bit-identical to the
-    /// exhaustive sweep's.
+    /// Successive halving: screen every sampled job with a minimal
+    /// sampled launch and re-measure only the survivors (top eighth
+    /// plus each candidate's screen-best) at full fidelity; measure
+    /// every exact-regime job once, abandoning it when a lower bound
+    /// on its time beats the fastest time so far. Pruned jobs report
+    /// `None`; measured jobs are bit-identical to the exhaustive
+    /// sweep's.
     Halving,
 }
 
@@ -290,14 +307,22 @@ pub(crate) fn measure_job(
 /// count.
 #[derive(Debug, Clone, Serialize)]
 pub struct RungStats {
-    /// Rung name: `"full"` (exhaustive), `"screen"`/`"survivor"`
-    /// (halving), or `"resilient"` (retry/quarantine sweeps, timed as
-    /// one rung).
+    /// Rung name: `"full"` (exhaustive); `"screen"`, `"seeded"`,
+    /// `"survivor"` and `"bounded"` (halving: screen and survivor over
+    /// the sampled jobs, seeded over each candidate's sampled
+    /// screen-best plus the seed job, bounded over the remaining
+    /// exact-regime jobs); or `"resilient"` (retry/quarantine sweeps,
+    /// timed as one rung).
     pub rung: String,
     /// Jobs dispatched to this rung.
     pub jobs: usize,
     /// Jobs that produced a measurement at this rung's fidelity.
     pub measured: usize,
+    /// Feasible jobs this rung dropped without a final measurement:
+    /// for `"screen"`, sampled jobs ranked out of the survivor set; for
+    /// `"bounded"`, jobs abandoned once a lower bound on their time
+    /// exceeded the incumbent. 0 for every other rung.
+    pub pruned: usize,
     /// Wall-clock time of the rung in milliseconds.
     pub wall_ms: f64,
 }
@@ -308,9 +333,14 @@ impl RungStats {
             rung: rung.to_string(),
             jobs,
             measured: results.iter().flatten().count(),
-            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+            pruned: 0,
+            wall_ms: elapsed_ms(t0),
         }
     }
+}
+
+fn elapsed_ms(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1e3
 }
 
 /// A checkout pool of [`BenchContext`]s for one `(arch, n)` sweep.
@@ -517,6 +547,11 @@ where
 /// (plus each candidate's screen-best).
 const HALVING_KEEP_DENOM: usize = 8;
 
+/// Exact-regime jobs run in canonical-order chunks of this many, and
+/// the incumbent falls only between chunks, so which jobs the bound
+/// prunes does not depend on the thread count.
+const BOUND_CHUNK: usize = 8;
+
 /// Keep mask of every candidate's own screen-best job, so each
 /// candidate's tuning winner reaches full fidelity. `candidates[i]`
 /// is job `i`'s candidate index. Ties break toward the earlier
@@ -546,6 +581,13 @@ pub(crate) fn candidate_best_mask(
 /// eighth of screened times plus every candidate's own screen-best
 /// ([`candidate_best_mask`]).
 pub(crate) fn survivor_mask(candidates: &[usize], screen_times: &[Option<f64>]) -> Vec<bool> {
+    let screened = screen_times.iter().flatten().count();
+    top_mask(candidates, screen_times, screened.div_ceil(HALVING_KEEP_DENOM))
+}
+
+/// The `keep` fastest screened jobs plus every candidate's own
+/// screen-best.
+fn top_mask(candidates: &[usize], screen_times: &[Option<f64>], keep: usize) -> Vec<bool> {
     let mut scored: Vec<(f64, usize)> = screen_times
         .iter()
         .enumerate()
@@ -553,44 +595,91 @@ pub(crate) fn survivor_mask(candidates: &[usize], screen_times: &[Option<f64>]) 
         .collect();
     scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
-    let mut keep = candidate_best_mask(candidates, screen_times);
-    for &(_, i) in scored.iter().take(scored.len().div_ceil(HALVING_KEEP_DENOM)) {
-        keep[i] = true;
+    let mut mask = candidate_best_mask(candidates, screen_times);
+    for &(_, i) in scored.iter().take(keep) {
+        mask[i] = true;
     }
-    keep
+    mask
 }
 
-/// Measure `indices` into `jobs` at full fidelity, scattering the
-/// results back into a full-length slot vector.
-fn measure_subset(
+/// The jobs at `indices`.
+fn pick(jobs: &[Job], indices: &[usize]) -> Vec<Job> {
+    indices.iter().map(|&i| jobs[i]).collect()
+}
+
+/// Measure `indices` into `jobs` at full fidelity as one rung,
+/// scattering the results back into the full-length slot vector.
+fn full_rung(
+    rung: &str,
     pool: &ContextPool,
     menu: &Menu,
     jobs: &[Job],
     indices: &[usize],
     threads: usize,
     out: &mut [Option<Measured>],
-) -> Result<usize, SimError> {
-    let subset: Vec<Job> = indices.iter().map(|&i| jobs[i]).collect();
-    let full = run_jobs_with(pool, &subset, threads, &|ctx, job| {
+) -> Result<RungStats, SimError> {
+    let t0 = Instant::now();
+    let full = run_jobs_with(pool, &pick(jobs, indices), threads, &|ctx, job| {
         measure_job(ctx, menu, job, Fidelity::Full)
     })?;
-    let mut measured = 0;
+    let stats = RungStats::tally(rung, indices.len(), &full, t0);
     for (&i, m) in indices.iter().zip(full) {
-        measured += usize::from(m.is_some());
         out[i] = m;
     }
-    Ok(measured)
+    Ok(stats)
 }
 
-/// The successive-halving sweep: screen every job cheaply, then
-/// re-measure only the survivors at full fidelity.
+/// What one exact-regime job came to under the incumbent.
+enum Bounded {
+    Measured(Measured),
+    Infeasible,
+    /// Abandoned: a lower bound on its time beat the incumbent.
+    Pruned,
+}
+
+/// Measure `job` at full fidelity, abandoning it as soon as a proven
+/// lower bound on its time strictly exceeds `incumbent_ns` (see
+/// [`gpu_sim::Device::set_ceiling`]). A measured job's time is
+/// bit-identical to an unbounded measurement's.
+fn measure_bounded(
+    ctx: &mut BenchContext,
+    menu: &Menu,
+    job: Job,
+    incumbent_ns: Option<f64>,
+) -> Result<Bounded, SimError> {
+    ctx.dev.set_ceiling(incumbent_ns);
+    let measured = measure_job(ctx, menu, job, Fidelity::Full);
+    ctx.dev.set_ceiling(None);
+    match measured {
+        Ok(Some(m)) => Ok(Bounded::Measured(m)),
+        Ok(None) => Ok(Bounded::Infeasible),
+        Err(SimError::CeilingExceeded { .. }) => Ok(Bounded::Pruned),
+        Err(e) => Err(e),
+    }
+}
+
+/// The successive-halving sweep.
+///
+/// Jobs split statically by regime. A job whose plan's grid is small
+/// enough that even the screen runs every block
+/// ([`BenchContext::exact_regime`]) is *exact-regime*: its screen
+/// would equal its full measurement, so it is measured once, in the
+/// bounded rung. Every other job is *sampled* and takes the screen
+/// and survivor rungs; the survivor rung keeps the global top eighth
+/// counted over every job that synthesized (so never fewer than a
+/// sweep ranking all jobs together would keep) plus each candidate's
+/// sampled screen-best.
 ///
 /// With a resolved `seed` (a job index), the survivor rung starts
-/// reduced — each candidate's screen-best plus the seed job — and the
-/// global top-eighth tier is measured only if the seed fails to
-/// reproduce as the winner of the reduced set. A correct seed thus
-/// pays confirmation cost; a wrong one degrades to the full survivor
-/// rung and the ordinary winner.
+/// reduced — each candidate's sampled screen-best plus the seed job —
+/// and the global top-eighth tier is measured only if the seed fails
+/// to reproduce as the winner of the reduced set.
+///
+/// The bounded rung then runs the exact-regime jobs in canonical
+/// order, in chunks of [`BOUND_CHUNK`], against the fastest
+/// full-fidelity time so far (the incumbent), abandoning each job as
+/// soon as a lower bound on its time strictly exceeds it. An abandoned
+/// job provably loses, and ties still fall to the canonical order.
 fn evaluate_halving(
     pool: &ContextPool,
     menu: &Menu,
@@ -598,69 +687,95 @@ fn evaluate_halving(
     threads: usize,
     seed: Option<usize>,
 ) -> Result<(Vec<Option<Measured>>, Vec<RungStats>), SimError> {
+    let n = pool.n();
+    // `None`: the job does not synthesize (infeasible in either regime).
+    // Synthesis fans out over the workers, as it does inside a rung.
+    let grids: Vec<Option<u32>> = run_jobs_with(pool, jobs, threads, &|_, job| {
+        Ok(menu.synthesize(job.candidate, job.tuning).ok().map(|k| k.grid(n)))
+    })?;
+    let exact: Vec<bool> =
+        grids.iter().map(|g| g.is_none_or(BenchContext::exact_regime)).collect();
+    let sampled: Vec<usize> = (0..jobs.len()).filter(|&i| !exact[i]).collect();
+
     let t0 = Instant::now();
-    let screen = run_jobs_with(pool, jobs, threads, &|ctx, job| {
+    let screen = run_jobs_with(pool, &pick(jobs, &sampled), threads, &|ctx, job| {
         measure_job(ctx, menu, job, Fidelity::Screen)
     })?;
-    let screen_stats = RungStats::tally("screen", jobs.len(), &screen, t0);
-    let times: Vec<Option<f64>> = screen.iter().map(|m| m.as_ref().map(|m| m.time_ns)).collect();
+    let mut rungs = vec![RungStats::tally("screen", sampled.len(), &screen, t0)];
+    let mut times: Vec<Option<f64>> = vec![None; jobs.len()];
+    for (&i, m) in sampled.iter().zip(&screen) {
+        times[i] = m.as_ref().map(|m| m.time_ns);
+    }
     let cand_of: Vec<usize> = jobs.iter().map(|j| j.candidate).collect();
 
     let mut out: Vec<Option<Measured>> = Vec::new();
     out.resize_with(jobs.len(), || None);
-    let mut rungs = vec![screen_stats];
-
-    let mut keep = match seed {
-        Some(si) => {
-            let mut keep = candidate_best_mask(&cand_of, &times);
-            keep[si] = true;
-            let seeded: Vec<usize> = (0..jobs.len()).filter(|&i| keep[i]).collect();
-            let t1 = Instant::now();
-            let measured = measure_subset(pool, menu, jobs, &seeded, threads, &mut out)?;
-            rungs.push(RungStats {
-                rung: "seeded".to_string(),
-                jobs: seeded.len(),
-                measured,
-                wall_ms: t1.elapsed().as_secs_f64() * 1e3,
-            });
-            let confirmed = first_fastest(&out, |m| m.time_ns).is_some_and(|m| {
-                m.candidate == jobs[si].candidate && m.tuning == jobs[si].tuning
-            });
-            if confirmed {
-                return Ok((out, rungs));
-            }
-            // The hint did not hold up: fall through and measure
-            // whatever the normal survivor rung would have that the
-            // seeded rung did not.
-            keep
-        }
-        None => vec![false; jobs.len()],
-    };
-
-    let full_keep = survivor_mask(&cand_of, &times);
-    for (k, full) in keep.iter_mut().zip(&full_keep) {
-        *k = *full && !*k;
+    // Jobs already measured at full fidelity.
+    let mut done = vec![false; jobs.len()];
+    let mut confirmed = false;
+    if let Some(si) = seed {
+        done = candidate_best_mask(&cand_of, &times);
+        done[si] = true;
+        let seeded: Vec<usize> = (0..jobs.len()).filter(|&i| done[i]).collect();
+        rungs.push(full_rung("seeded", pool, menu, jobs, &seeded, threads, &mut out)?);
+        confirmed = first_fastest(&out, |m| m.time_ns).is_some_and(|m| {
+            m.candidate == jobs[si].candidate && m.tuning == jobs[si].tuning
+        });
     }
-    let surviving: Vec<usize> = (0..jobs.len()).filter(|&i| keep[i]).collect();
+    if !confirmed {
+        // The hint did not hold up (or there was none): measure
+        // whatever the full survivor rung keeps that is not done yet.
+        let synthesized = times.iter().flatten().count()
+            + (0..jobs.len()).filter(|&i| exact[i] && grids[i].is_some()).count();
+        let keep = top_mask(&cand_of, &times, synthesized.div_ceil(HALVING_KEEP_DENOM));
+        let surviving: Vec<usize> = (0..jobs.len()).filter(|&i| keep[i] && !done[i]).collect();
+        rungs.push(full_rung("survivor", pool, menu, jobs, &surviving, threads, &mut out)?);
+        for &i in &surviving {
+            done[i] = true;
+        }
+    }
+    rungs[0].pruned = sampled.iter().filter(|&&i| times[i].is_some() && !done[i]).count();
+
     let t1 = Instant::now();
-    let measured = measure_subset(pool, menu, jobs, &surviving, threads, &mut out)?;
-    rungs.push(RungStats {
-        rung: "survivor".to_string(),
-        jobs: surviving.len(),
-        measured,
-        wall_ms: t1.elapsed().as_secs_f64() * 1e3,
-    });
+    let pending: Vec<usize> = (0..jobs.len()).filter(|&i| exact[i] && !done[i]).collect();
+    let mut bounded = RungStats {
+        rung: "bounded".to_string(),
+        jobs: pending.len(),
+        measured: 0,
+        pruned: 0,
+        wall_ms: 0.0,
+    };
+    let mut incumbent = first_fastest(&out, |m| m.time_ns).map(|m| m.time_ns);
+    for chunk in pending.chunks(BOUND_CHUNK) {
+        let results = run_jobs_with(pool, &pick(jobs, chunk), threads, &|ctx, job| {
+            measure_bounded(ctx, menu, job, incumbent)
+        })?;
+        for (&i, r) in chunk.iter().zip(results) {
+            match r {
+                Bounded::Measured(m) => {
+                    bounded.measured += 1;
+                    incumbent = Some(incumbent.map_or(m.time_ns, |t| t.min(m.time_ns)));
+                    out[i] = Some(m);
+                }
+                Bounded::Pruned => bounded.pruned += 1,
+                Bounded::Infeasible => {}
+            }
+        }
+    }
+    bounded.wall_ms = elapsed_ms(t1);
+    rungs.push(bounded);
     Ok((out, rungs))
 }
 
 /// Measure every job of `menu`'s sweep, fanning jobs over
 /// `opts.threads` workers, plus one [`RungStats`] per fan-out rung
-/// (one for exhaustive sweeps; screen, optionally seeded, and
-/// survivor for halving).
+/// (one for exhaustive sweeps; screen, optionally seeded, survivor
+/// unless a seed confirmed, and bounded for halving).
 ///
 /// The returned vector has one slot per job in canonical enumeration
 /// order; `None` marks infeasible combinations (and, under
-/// [`SweepMode::Halving`], jobs pruned at the screening rung). The
+/// [`SweepMode::Halving`], jobs pruned at the screen or by the
+/// bound). The
 /// slot layout (and every value in it) is identical for any thread
 /// count; every `Some` slot is a full-fidelity measurement. Only the
 /// wall-clock fields of the stats are nondeterministic.
@@ -725,7 +840,8 @@ pub(crate) fn first_fastest<T>(results: &[Option<T>], time_ns: impl Fn(&T) -> f6
 mod tests {
     use super::*;
     use tangram_passes::planner;
-    use tangram_passes::workload::WorkloadKey;
+    use tangram_passes::specialize::ReduceOp;
+    use tangram_passes::workload::{Dtype, WorkloadKey};
 
     fn menu() -> Menu {
         let cands: Vec<CodeVersion> = planner::fig6_best()
@@ -886,8 +1002,11 @@ mod tests {
         let hint = SeedHint { candidate: winner.candidate, tuning: winner.tuning };
         let (seeded, rungs) = evaluate(&pool, &menu, &opts.with_seed(Some(hint))).unwrap();
         assert_same_winner(best(&seeded), winner, "true seed");
-        assert_eq!(rungs.len(), 2, "a confirming seed skips the survivor rung");
-        assert_eq!(rungs[1].rung, "seeded");
+        assert_eq!(
+            rungs.iter().map(|r| r.rung.as_str()).collect::<Vec<_>>(),
+            ["screen", "seeded", "bounded"],
+            "a confirming seed skips the survivor rung"
+        );
         assert!(
             rungs[1].jobs < plain_rungs[1].jobs,
             "seeded rung ({} jobs) must be smaller than the survivor rung ({} jobs)",
@@ -915,7 +1034,7 @@ mod tests {
         assert_same_winner(best(&seeded), winner, "a wrong seed must not change the winner");
         assert_eq!(
             rungs.iter().map(|r| r.rung.as_str()).collect::<Vec<_>>(),
-            ["screen", "seeded", "survivor"],
+            ["screen", "seeded", "survivor", "bounded"],
             "a non-confirming seed falls back to the survivor rung"
         );
     }
@@ -959,12 +1078,64 @@ mod tests {
 
     #[test]
     fn halving_thread_counts_agree_bitwise() {
-        let arch = ArchConfig::pascal_p100();
-        let menu = menu();
-        let pool = ContextPool::new(&arch, 32_768);
+        // At 16K the bounded rung prunes most exact-regime jobs.
+        let arch = ArchConfig::kepler_k40c();
+        let menu = Menu::of_versions(&planner::enumerate_pruned());
+        let pool = ContextPool::new(&arch, 16_384);
         let opts = EvalOptions::serial().with_sweep(SweepMode::Halving);
-        let (serial, _) = evaluate(&pool, &menu, &opts).unwrap();
-        let (parallel, _) = evaluate(&pool, &menu, &EvalOptions { threads: 4, ..opts }).unwrap();
+        let (serial, serial_rungs) = evaluate(&pool, &menu, &opts).unwrap();
+        let (parallel, parallel_rungs) =
+            evaluate(&pool, &menu, &EvalOptions { threads: 4, ..opts }).unwrap();
         assert_same_slots(&serial, &parallel, "halving threads 1 vs 4");
+        let counts = |rungs: &[RungStats]| -> Vec<(String, usize, usize, usize)> {
+            rungs.iter().map(|r| (r.rung.clone(), r.jobs, r.measured, r.pruned)).collect()
+        };
+        assert_eq!(counts(&serial_rungs), counts(&parallel_rungs), "rung counts");
+        let bounded = serial_rungs.last().unwrap();
+        assert_eq!(bounded.rung, "bounded");
+        assert!(bounded.pruned > 0, "the bound must prune at 16K: {bounded:?}");
+    }
+
+    /// The bounded halving sweep against the exhaustive reference on
+    /// every workload key: its winner is never slower, it is the very
+    /// same job whenever the exhaustive winner is exact-regime, and
+    /// every slot it measured is bit-identical to the exhaustive one.
+    #[test]
+    fn bounded_halving_keeps_the_exhaustive_winner_on_every_key() {
+        let keys = [
+            WorkloadKey::sum(),
+            WorkloadKey::reduce(ReduceOp::Max),
+            WorkloadKey::reduce(ReduceOp::Min),
+            WorkloadKey::argmax(),
+            WorkloadKey::argmin(),
+            WorkloadKey::histogram(64),
+            WorkloadKey::scan(Dtype::F32),
+            WorkloadKey::scan(Dtype::U32),
+            WorkloadKey::exscan(Dtype::F32),
+            WorkloadKey::segsum(Dtype::F32),
+        ];
+        let halving = EvalOptions::default().with_sweep(SweepMode::Halving);
+        for arch in ArchConfig::paper_archs() {
+            for n in [1024, 4096, 16_384, 65_536, 3000] {
+                let pool = ContextPool::new(&arch, n);
+                for key in keys {
+                    let ctx = format!("{} n={n} {key}", arch.id);
+                    let menu = Menu::for_key(key);
+                    let (exhaustive, _) = evaluate(&pool, &menu, &EvalOptions::default()).unwrap();
+                    let (bounded, _) = evaluate(&pool, &menu, &halving).unwrap();
+                    let (e, h) = (best(&exhaustive), best(&bounded));
+                    assert!(h.time_ns <= e.time_ns, "{ctx}: {} > {}", h.time_ns, e.time_ns);
+                    if BenchContext::exact_regime(e.kernel.grid(n)) {
+                        assert_same_winner(e, h, &ctx);
+                    }
+                    for (x, y) in exhaustive.iter().zip(&bounded) {
+                        if let (Some(x), Some(y)) = (x, y) {
+                            assert_eq!(x.time_ns.to_bits(), y.time_ns.to_bits(), "{ctx}");
+                        }
+                        assert!(x.is_some() || y.is_none(), "{ctx}: an infeasible job measured");
+                    }
+                }
+            }
+        }
     }
 }

@@ -46,13 +46,11 @@
 //! | [`store`] | crash-safe persistent tuning cache ([`TuningStore`]) |
 //! | [`serve`] | autotuning daemon: dedup, warm-start, QoS gate ([`serve::TuneService`]) |
 //! | [`select`] | the reduction winner row and the paper's size axis |
-//! | [`dynsel`] | DySel-style runtime selection (micro-profiling) |
 //! | [`runner`] | executing synthesized versions on the device |
 
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod dynsel;
 pub mod evaluate;
 mod menu;
 pub mod metrics;

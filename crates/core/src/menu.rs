@@ -238,6 +238,15 @@ impl Kernel {
         }
     }
 
+    /// Blocks of the main launch over `n` elements (what the block
+    /// selection of a measurement is chosen by).
+    pub(crate) fn grid(&self, n: u64) -> u32 {
+        match self {
+            Kernel::Reduce(sv) => sv.plan(n).grid,
+            Kernel::Workload(sw) => sw.plan(n).grid,
+        }
+    }
+
     /// Run over `n` elements at `input` and return the output value.
     pub(crate) fn run(
         &self,

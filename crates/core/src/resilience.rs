@@ -202,9 +202,13 @@ pub struct ResilienceReport {
     /// Injected faults neutralized by a later clean, accepted
     /// measurement.
     pub faults_recovered: u64,
-    /// Jobs pruned by the halving screen (feasible at screening
-    /// fidelity but outside the survivor set); always 0 under
-    /// [`SweepMode::Exhaustive`].
+    /// Feasible jobs a halving sweep dropped without a final
+    /// measurement: screened out of the survivor set, or (clean
+    /// engine only) abandoned by the bounded rung once a lower bound
+    /// on their time exceeded the incumbent. Always 0 under
+    /// [`SweepMode::Exhaustive`]. A pruned job is never run to the
+    /// end, so it also loses trap detection: a job that would have
+    /// trapped after its abort point no longer fails the sweep.
     pub pruned: usize,
     /// Accepted measurements whose final attempt had injected faults
     /// (must stay 0: the engine only accepts fault-free attempts).
@@ -559,6 +563,35 @@ mod tests {
         }
     }
 
+    /// `clean` comes from the clean halving engine over `n` elements,
+    /// `resilient` from the resilient rung's halving. The clean engine
+    /// ranks only sampled jobs but keeps as many as a ranking of every
+    /// job would, so it measures every sampled job `resilient` does;
+    /// its bounded rung leaves an exact-regime job unmeasured only once
+    /// it provably loses. Every job both measured is bit-identical.
+    fn assert_agrees_with_bounded(
+        n: u64,
+        clean: &[Option<Measured>],
+        resilient: &[Option<Measured>],
+    ) {
+        assert_eq!(clean.len(), resilient.len());
+        let winner = first_fastest(clean, |m| m.time_ns).unwrap().time_ns;
+        for (x, y) in clean.iter().zip(resilient) {
+            match (x, y) {
+                (Some(x), Some(y)) => assert_eq!(x.time_ns.to_bits(), y.time_ns.to_bits()),
+                (None, Some(y)) => {
+                    assert!(
+                        BenchContext::exact_regime(y.kernel.grid(n)),
+                        "a sampled survivor went unmeasured"
+                    );
+                    assert!(y.time_ns > winner, "a winner-beating job went unmeasured");
+                }
+                _ => {}
+            }
+        }
+        assert_same_winner(clean, resilient);
+    }
+
     fn assert_same_winner(a: &[Option<Measured>], b: &[Option<Measured>]) {
         let a = first_fastest(a, |m| m.time_ns).unwrap();
         let b = first_fastest(b, |m| m.time_ns).unwrap();
@@ -569,9 +602,9 @@ mod tests {
 
     #[test]
     fn default_policy_matches_clean_engine_bitwise() {
-        // The whole pruned corpus in both sweep modes: the resilient
-        // rung's own halving screen must keep exactly the clean
-        // engine's survivors.
+        // The whole pruned corpus in both sweep modes: exhaustive slots
+        // match exactly; the resilient rung's own halving screen keeps
+        // the survivors the clean engine keeps or provably beats.
         let arch = ArchConfig::maxwell_gtx980();
         let menu = Menu::of_versions(&planner::enumerate_pruned());
         let pool = ContextPool::new(&arch, 16_384);
@@ -580,9 +613,12 @@ mod tests {
             let (clean, _) = evaluate(&pool, &menu, &opts).unwrap();
             let (resilient, report) =
                 evaluate_resilient(&pool, &menu, &opts, &ResilienceOptions::default()).unwrap();
-            assert_same_slots(&clean, &resilient);
+            match sweep {
+                SweepMode::Exhaustive => assert_same_slots(&clean, &resilient),
+                SweepMode::Halving => assert_agrees_with_bounded(16_384, &clean, &resilient),
+            }
+            assert_eq!(report.measured, resilient.iter().flatten().count());
             assert_eq!(report.total_jobs, clean.len());
-            assert_eq!(report.measured, clean.iter().flatten().count());
             assert_eq!(report.quarantined, 0);
             assert_eq!(report.faults_injected, 0);
             assert_eq!(report.silent, 0);
@@ -623,16 +659,20 @@ mod tests {
             let pool = ContextPool::new(&arch, n);
             let opts = EvalOptions::serial().with_sweep(SweepMode::Halving);
             let (clean, _) = evaluate(&pool, &menu, &opts).unwrap();
+            let (fault_free, fault_free_report) =
+                evaluate_resilient(&pool, &menu, &opts, &ResilienceOptions::default()).unwrap();
             let res = ResilienceOptions::campaign(0xBEEF, 400);
             let (faulty, report) = evaluate_resilient(&pool, &menu, &opts, &res).unwrap();
             assert!(report.pruned > 0, "halving campaign must prune: {}", report.summary_line());
             assert_eq!(report.total_jobs, jobs_for(&menu).len(), "every job is accounted");
             assert!(report.faults_detected > 0, "the oracle must catch corruption");
             assert_eq!(report.silent, 0);
-            // The clean screen makes the survivor sets — and thus the
-            // winner — identical to the fault-free halving sweep.
-            assert_same_slots(&clean, &faulty);
-            assert_same_winner(&clean, &faulty);
+            // The clean screen makes the survivor sets identical to the
+            // fault-free resilient halving sweep's.
+            assert_same_slots(&fault_free, &faulty);
+            assert_eq!(report.measured, fault_free_report.measured);
+            assert_eq!(report.pruned, fault_free_report.pruned);
+            assert_agrees_with_bounded(n, &clean, &faulty);
         }
     }
 

@@ -29,6 +29,8 @@ pub fn run_reduction(
 ) -> Result<f32, SimError> {
     let plan = sv.plan(n);
     let dims = LaunchDims::new(plan.grid, plan.block).with_dynamic_smem(plan.dynamic_smem);
+    // Two-kernel versions pay a second launch (see `Device::set_ceiling`).
+    dev.plan_launches(if sv.version.grid.atomic { 1 } else { 2 });
     if sv.version.grid.atomic {
         let out = dev.alloc_f32(1)?;
         // The global accumulator starts at the operator's identity
@@ -95,6 +97,7 @@ pub fn run_workload(
             "plain reductions run through run_reduction, not run_workload".into(),
         )),
         WorkloadKind::ArgMax | WorkloadKind::ArgMin => {
+            dev.plan_launches(1);
             let out = dev.alloc(sw.out_bytes(n))?;
             let args = [input.arg(), out.arg(), Arg::U32(n as u32), Arg::U32(plan.tile)];
             // The packed-pair identity is 0: any valid candidate has a
@@ -104,6 +107,7 @@ pub fn run_workload(
             Ok(WorkloadValue::Packed(dev.read_scalar(Ty::U64, out)?))
         }
         WorkloadKind::Histogram { .. } => {
+            dev.plan_launches(1);
             let out = dev.alloc(sw.out_bytes(n))?;
             let args = [input.arg(), out.arg(), Arg::U32(n as u32), Arg::U32(plan.tile)];
             dev.memset_zero(out, sw.out_bytes(n))?;
@@ -114,6 +118,7 @@ pub fn run_workload(
         WorkloadKind::Scan { .. } => {
             // Three launches: per-tile scan, single-warp spine over
             // the block sums, offset apply.
+            dev.plan_launches(3);
             let out_bytes = sw.out_bytes(n);
             let out = dev.alloc(out_bytes)?;
             let sums = dev.alloc(4 * u64::from(plan.grid))?;
@@ -187,6 +192,7 @@ pub fn run_segsum(
         segs.arg(),
         Arg::U32(nsegs as u32),
     ];
+    dev.plan_launches(1);
     dev.launch(&sw.kernel, dims, &args, selection, TimingOptions::default())?;
     let bytes = dev.download_bytes(out, nsegs * 4)?;
     Ok(WorkloadValue::Buffer(words_of(&bytes)))

@@ -11,8 +11,12 @@
 //!
 //! ## Write protocol (crash safety)
 //!
-//! 1. acquire `store.lock`: write our PID to a unique temp file and
-//!    `hard_link` it to `store.lock`, so the lock never exists without
+//! 1. take this process's writer mutex for the directory (keyed by
+//!    its canonical path), so the threads of one process queue for
+//!    the store instead of racing each other through the lock's
+//!    bounded retries; then acquire `store.lock`: write our PID to a
+//!    unique temp file and `hard_link` it to `store.lock`, so the lock
+//!    never exists without
 //!    its owner's PID (the link fails with `AlreadyExists` exactly
 //!    like `O_EXCL`; the store directory must therefore support hard
 //!    links). A lock whose owner is dead is stale and broken; an
@@ -45,12 +49,14 @@
 //! oracle) before skipping a sweep — see
 //! [`Session::store`](crate::api::Session::store).
 
+use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use gpu_sim::hash::{fx_hash_bytes, fx_hash_hex};
 use serde::{Deserialize as _, Serialize, Value};
@@ -460,8 +466,12 @@ impl TuningStore {
     /// [`StoreError::Io`] on filesystem failures. Both leave any
     /// existing record untouched.
     pub fn save(&self, rec: &StoreRecord) -> Result<SaveReceipt, StoreError> {
+        let writers = process_writers(&self.dir);
+        let _queued = writers.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let lock = LockGuard::acquire(&self.dir)?;
         let receipt = SaveReceipt { lock_attempts: lock.attempts };
+        #[cfg(test)]
+        tests::SAVE_PAUSE.with(|hook| hook.take().map(|pause| pause()));
         self.sweep_orphans();
         let path = self.record_path(&rec.key);
         let tmp = tmp_path(&self.dir, &rec.key.file_name());
@@ -598,6 +608,20 @@ fn jittered_ms(attempt: u32, delay: u64) -> u64 {
     half + z % (delay - half + 1)
 }
 
+/// The mutex this process's writers of the store at `dir` take
+/// before `store.lock`: one per canonical directory, so two handles
+/// on one store (or two spellings of its path) share it. The lock
+/// file's bounded retries then only ever wait for other processes.
+fn process_writers(dir: &Path) -> Arc<Mutex<()>> {
+    static WRITERS: OnceLock<Mutex<HashMap<PathBuf, Arc<Mutex<()>>>>> = OnceLock::new();
+    let key = fs::canonicalize(dir).unwrap_or_else(|_| dir.to_path_buf());
+    let mut writers = WRITERS
+        .get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    Arc::clone(writers.entry(key).or_default())
+}
+
 /// Exclusive writer lock: a `store.lock` file holding the owner's
 /// PID, hard-linked into place from a staging file so its content is
 /// visible the instant it exists. Dropped (removed) when the guard
@@ -703,7 +727,16 @@ fn older_than(path: &Path, secs: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
     use tangram_passes::planner;
+
+    thread_local! {
+        /// Run once by this thread's next save, while it holds the
+        /// writer lock.
+        pub(super) static SAVE_PAUSE: Cell<Option<Box<dyn FnOnce()>>> = Cell::new(None);
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -901,6 +934,41 @@ mod tests {
         // gives up in well under a second of sleeping.
         let worst: u64 = delays.iter().sum();
         assert!(worst <= LOCK_RETRY_CAP_MS * u64::from(LOCK_RETRIES), "{worst}");
+    }
+
+    #[test]
+    fn same_process_writers_wait_out_a_slow_save() {
+        let dir = tmpdir("slow-writer");
+        let store = TuningStore::open(&dir, 7).unwrap();
+        // Hold the store for twice the whole lock retry schedule.
+        let budget: u64 = (0..LOCK_RETRIES)
+            .map(|a| (LOCK_RETRY_BASE_MS << a.min(16)).min(LOCK_RETRY_CAP_MS))
+            .sum();
+        let hold = Duration::from_millis(2 * budget);
+        let (held, holding) = mpsc::channel();
+        let slow = {
+            let store = store.clone();
+            std::thread::spawn(move || {
+                SAVE_PAUSE.set(Some(Box::new(move || {
+                    held.send(()).unwrap();
+                    std::thread::sleep(hold);
+                })));
+                store.save(&record()).unwrap()
+            })
+        };
+        holding.recv().unwrap();
+        let t0 = Instant::now();
+        // A second handle spelled differently still queues on the
+        // same writer mutex.
+        let other = TuningStore::open(dir.join("."), 7).unwrap();
+        let mut rec = record();
+        rec.key = StoreKey::for_sweep("pascal", 4096);
+        let receipt = other.save(&rec).expect("the queued writer saves once the slow one is done");
+        assert_eq!(receipt.lock_attempts, 1, "it never fought the lock file");
+        assert!(t0.elapsed() >= hold / 2, "it waited for the slow writer");
+        assert_eq!(slow.join().unwrap().lock_attempts, 1);
+        assert!(matches!(store.load(&rec.key), Lookup::Hit(_)));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -97,13 +97,20 @@ impl BenchContext {
         Ok(())
     }
 
+    /// Whether a launch plan of `grid` blocks is measured exactly at
+    /// every fidelity: both [`BenchContext::selection_for`] and
+    /// [`BenchContext::screen_selection_for`] run every block.
+    pub fn exact_regime(grid: u32) -> bool {
+        grid <= SAMPLE_GRID_THRESHOLD
+    }
+
     /// The block-selection mode used for a launch plan of `grid`
     /// blocks.
     pub fn selection_for(grid: u32) -> BlockSelection {
-        if grid > SAMPLE_GRID_THRESHOLD {
-            BlockSelection::Sample { max_blocks: 6 }
-        } else {
+        if Self::exact_regime(grid) {
             BlockSelection::All
+        } else {
+            BlockSelection::Sample { max_blocks: 6 }
         }
     }
 
@@ -111,10 +118,10 @@ impl BenchContext {
     /// screening rung: a minimal block sample whose modelled time
     /// still ranks configurations well enough to pick survivors.
     pub fn screen_selection_for(grid: u32) -> BlockSelection {
-        if grid > SAMPLE_GRID_THRESHOLD {
-            BlockSelection::Sample { max_blocks: 1 }
-        } else {
+        if Self::exact_regime(grid) {
             BlockSelection::All
+        } else {
+            BlockSelection::Sample { max_blocks: 1 }
         }
     }
 

@@ -13,7 +13,7 @@ use crate::memory::LinearMemory;
 use crate::profile::{LaunchProfile, Trace};
 use crate::sanitize::{LaunchSanitizer, RaceReport};
 use crate::stats::LaunchStats;
-use crate::timing::{time_launch, LaunchTiming, TimingOptions};
+use crate::timing::{time_launch, Ceiling, LaunchTiming, TimingOptions};
 
 /// A device memory allocation handle (byte address + length).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,6 +84,8 @@ pub struct Device {
     profiling: bool,
     sanitizing: bool,
     trace: Trace,
+    ceiling_ns: Option<f64>,
+    launches_planned: u32,
 }
 
 const ALLOC_ALIGN: u64 = 256;
@@ -105,6 +107,8 @@ impl Device {
             profiling: false,
             sanitizing: false,
             trace: Trace::new(),
+            ceiling_ns: None,
+            launches_planned: 0,
         }
     }
 
@@ -166,6 +170,27 @@ impl Device {
     /// Whether race checking is enabled.
     pub fn sanitizing(&self) -> bool {
         self.sanitizing
+    }
+
+    /// Bound subsequent launches by `limit_ns` (`None` lifts the
+    /// bound). A bounded launch is abandoned with
+    /// [`SimError::CeilingExceeded`] as soon as the clock, plus a proven
+    /// lower bound on the launch's own time, plus the launch overhead of
+    /// every launch still planned ([`Device::plan_launches`]), strictly
+    /// exceeds the limit — so only measurements that would have ended
+    /// above `limit_ns` are abandoned. Launches with profiling,
+    /// sanitizing, a fault plan or non-default [`TimingOptions`]
+    /// attached are never bounded.
+    pub fn set_ceiling(&mut self, limit_ns: Option<f64>) {
+        self.ceiling_ns = limit_ns;
+    }
+
+    /// Declare that the current measurement makes `launches` more
+    /// launches, the next one included; each launch counts one down.
+    /// Only bounded launches read the count, and it must not overstate
+    /// the launches that follow.
+    pub fn plan_launches(&mut self, launches: u32) {
+        self.launches_planned = launches;
     }
 
     /// The scheduler trace accumulated by profiled launches.
@@ -339,12 +364,19 @@ impl Device {
             _ => FaultSession::disabled(),
         };
         self.fault_launch_index += 1;
+        let launches_after = self.launches_planned.saturating_sub(1);
+        self.launches_planned = launches_after;
+        // The bound prices a launch under the default options only.
+        let ceiling = self.ceiling_ns.filter(|_| opts == TimingOptions::default()).map(|limit_ns| {
+            Ceiling { limit_ns, base_ns: self.elapsed_ns, launches_after }
+        });
         let mut profile = self.profiling.then(|| LaunchProfile::for_kernel(kernel));
         let mut sanitizer = self.sanitizing.then(|| LaunchSanitizer::for_kernel(kernel));
         let mut cfg = ExecConfig::builder()
             .exec_mode(self.exec_mode)
             .instr_budget(self.instr_budget)
-            .faults(&mut session);
+            .faults(&mut session)
+            .ceiling(ceiling);
         if let Some(p) = profile.as_mut() {
             cfg = cfg.profile(p);
         }

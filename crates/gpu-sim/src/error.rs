@@ -114,6 +114,16 @@ pub enum SimError {
         /// Ids of the warps parked at the barrier.
         waiting_warps: Vec<u32>,
     },
+    /// Not a fault: a launch run under a
+    /// [`Ceiling`](crate::timing::Ceiling) was abandoned because a
+    /// proven lower bound on its measurement's time exceeded the
+    /// ceiling. Memory holds whatever the executed blocks wrote.
+    CeilingExceeded {
+        /// Kernel name.
+        kernel: String,
+        /// Blocks executed before the launch was abandoned.
+        blocks_run: u32,
+    },
     /// An assembler diagnostic.
     Asm {
         /// 1-based source line of the error.
@@ -151,6 +161,11 @@ impl fmt::Display for SimError {
                 "barrier deadlock in kernel `{kernel}`: {} warp(s) {waiting_warps:?} wait at the \
                  barrier at pc {barrier_pc} but the other warps of the block have retired",
                 waiting_warps.len()
+            ),
+            SimError::CeilingExceeded { kernel, blocks_run } => write!(
+                f,
+                "launch of `{kernel}` abandoned after {blocks_run} block(s): its time provably \
+                 exceeds the ceiling"
             ),
             SimError::Asm { line, reason } => write!(f, "asm error at line {line}: {reason}"),
         }

@@ -25,6 +25,7 @@ use crate::memory::{bank_conflict_degree, coalesced_transactions, LinearMemory};
 use crate::profile::LaunchProfile;
 use crate::sanitize::{AccessKind, LaunchSanitizer};
 use crate::stats::LaunchStats;
+use crate::timing::{launch_lower_bound, Ceiling};
 
 /// Maximum lanes per warp the interpreter's stack-allocated per-issue
 /// buffers accommodate (active masks are `u32`, so this is a hard
@@ -493,6 +494,11 @@ pub struct ExecConfig<'a> {
     /// Race detector to feed (see [`crate::sanitize`]); `None`
     /// disables race checking (the zero-cost default).
     pub sanitize: Option<&'a mut LaunchSanitizer>,
+    /// Abandon the launch with [`SimError::CeilingExceeded`] once a
+    /// lower bound on its time breaks this ceiling. Ignored when a
+    /// profile, sanitizer or live fault session is attached: those
+    /// must observe every block.
+    pub ceiling: Option<Ceiling>,
 }
 
 impl<'a> ExecConfig<'a> {
@@ -541,6 +547,13 @@ impl<'a> ExecConfigBuilder<'a> {
     #[must_use]
     pub fn sanitize(mut self, sanitizer: &'a mut LaunchSanitizer) -> Self {
         self.cfg.sanitize = Some(sanitizer);
+        self
+    }
+
+    /// Bound the launch by an abort [`Ceiling`].
+    #[must_use]
+    pub fn ceiling(mut self, ceiling: Option<Ceiling>) -> Self {
+        self.cfg.ceiling = ceiling;
         self
     }
 
@@ -672,6 +685,13 @@ pub fn run_kernel_cfg(
     if let Some(s) = sanitize.as_deref_mut() {
         s.exact = exact;
     }
+    let ceiling =
+        exec_cfg.ceiling.filter(|_| profile.is_none() && sanitize.is_none() && !faults.is_live());
+    // Checked before anything is decoded or compiled, so a launch the
+    // ceiling rules out from its overhead alone costs nothing.
+    if let Some(c) = ceiling {
+        check_ceiling(c, kernel, arch, dims, &total, 0)?;
+    }
 
     // Predecode / compile once per launch (both cached on the kernel
     // across launches); warp states and the per-block constant table
@@ -743,6 +763,12 @@ pub fn run_kernel_cfg(
             interior_stats = Some(ctx.stats.clone());
         }
         total += &ctx.stats;
+        if let Some(c) = ceiling {
+            // The launch-wide chain so far; the final value is set
+            // below, and is never smaller.
+            total.global_atomic_max_chain = global_chains.values().copied().max().unwrap_or(0);
+            check_ceiling(c, kernel, arch, dims, &total, total.blocks as u32)?;
+        }
     }
 
     if !exact {
@@ -776,6 +802,24 @@ pub fn run_kernel_cfg(
     total.warps_per_block = dims.block.div_ceil(arch.warp_size);
 
     Ok(ExecOutcome { stats: total, exact })
+}
+
+/// Abandon the launch when the lower bound of the blocks that so far
+/// gathered `partial` breaks the ceiling.
+/// Executed blocks only ever add to the counters (sampled launches
+/// scale them up), so the bound holds for the finished launch.
+fn check_ceiling(
+    ceiling: Ceiling,
+    kernel: &Kernel,
+    arch: &ArchConfig,
+    dims: LaunchDims,
+    partial: &LaunchStats,
+    blocks_run: u32,
+) -> Result<(), SimError> {
+    if ceiling.exceeded_by(arch, launch_lower_bound(arch, kernel, dims, partial)) {
+        return Err(SimError::CeilingExceeded { kernel: kernel.name.clone(), blocks_run });
+    }
+    Ok(())
 }
 
 fn scale_stats(s: &mut LaunchStats, f: f64) {

@@ -80,4 +80,4 @@ pub use sanitize::{
     RaceFinding, RaceReport,
 };
 pub use stats::LaunchStats;
-pub use timing::{LaunchTiming, Limiter, TimingOptions};
+pub use timing::{launch_lower_bound, Ceiling, LaunchTiming, Limiter, TimingOptions};

@@ -102,6 +102,79 @@ pub fn time_launch(
     stats: &LaunchStats,
     opts: TimingOptions,
 ) -> LaunchTiming {
+    let bw_eff = opts.bw_efficiency_override.unwrap_or_else(|| {
+        let frac_vec = stats.vector_load_fraction();
+        arch.bw_eff_scalar + (arch.bw_eff_vector - arch.bw_eff_scalar) * frac_vec
+    });
+    roofline(arch, kernel, dims, stats, opts, bw_eff, false)
+}
+
+/// A proven lower bound on [`time_launch`] of any launch whose final
+/// statistics dominate `stats` counter by counter — e.g. the partial
+/// statistics of the blocks a launch has run so far.
+///
+/// It is `time_launch`'s roofline with every term made nondecreasing
+/// in the counters: memory is priced at the best bandwidth efficiency
+/// the arch reaches (`time_launch` interpolates between the scalar and
+/// vector efficiencies by the vector fraction, which is not monotone),
+/// and the shared-atomic term is replaced by a minorant that is
+/// monotone in both its counters. Occupancy, latency hiding and the SMs
+/// in use depend only on `kernel` and `dims`, and IEEE rounding is
+/// monotone, so the bound never exceeds the final `time_ns` in `f64`.
+/// It bounds launches timed with the default [`TimingOptions`].
+pub fn launch_lower_bound(
+    arch: &ArchConfig,
+    kernel: &Kernel,
+    dims: LaunchDims,
+    stats: &LaunchStats,
+) -> f64 {
+    // At vector fraction 1 the interpolation evaluates exactly this
+    // expression, and a smaller fraction never rounds above it.
+    let best = arch.bw_eff_scalar + (arch.bw_eff_vector - arch.bw_eff_scalar);
+    let bw_eff = best.max(arch.bw_eff_scalar);
+    roofline(arch, kernel, dims, stats, TimingOptions::default(), bw_eff, true).time_ns
+}
+
+/// An abort ceiling for one launch of a multi-launch measurement: the
+/// launch is abandoned once the measurement's clock provably ends
+/// strictly above `limit_ns` (see [`Ceiling::exceeded_by`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Ceiling {
+    /// The time the whole measurement must not provably exceed (ns).
+    pub limit_ns: f64,
+    /// Modelled time already on the clock before this launch (ns).
+    pub base_ns: f64,
+    /// Launches the measurement makes after this one; each costs at
+    /// least the launch overhead.
+    pub launches_after: u32,
+}
+
+impl Ceiling {
+    /// Whether a launch whose time is at least `bound_ns` ends the
+    /// measurement strictly above the limit. The clock is summed in
+    /// the order the device advances it, so every partial sum is a
+    /// lower bound on the real one.
+    pub fn exceeded_by(&self, arch: &ArchConfig, bound_ns: f64) -> bool {
+        let mut end = self.base_ns + bound_ns;
+        for _ in 0..self.launches_after {
+            end += arch.launch_overhead_ns;
+        }
+        end > self.limit_ns
+    }
+}
+
+/// The roofline behind [`time_launch`] (`lower == false`) and
+/// [`launch_lower_bound`] (`lower == true`), with memory priced at
+/// `bw_eff`.
+fn roofline(
+    arch: &ArchConfig,
+    kernel: &Kernel,
+    dims: LaunchDims,
+    stats: &LaunchStats,
+    opts: TimingOptions,
+    bw_eff: f64,
+    lower: bool,
+) -> LaunchTiming {
     let smem = kernel.smem_bytes(dims.dynamic_smem);
     // Virtual registers are SSA-like and overstate pressure; clamp to
     // a plausible allocated range.
@@ -130,18 +203,25 @@ pub fn time_launch(
     if shared_issues > 0.0 {
         let base = arch.shared_atomic.warp_cost(1) as f64;
         let per_conflict = arch.shared_atomic.warp_cost(2) as f64 - base;
-        let extra_conflicts = (stats.shared_atomic_serial as f64 - shared_issues).max(0.0);
-        issue_cycles += shared_issues * base + extra_conflicts * per_conflict;
+        let serial = stats.shared_atomic_serial as f64;
+        issue_cycles += if lower {
+            // issues·base + max(0, serial − issues)·per_conflict falls
+            // as issues grow when per_conflict > base (Kepler's lock
+            // loop). With m = min(base, per_conflict) this minorant is
+            // monotone in both counters, exact when base ≥ per_conflict,
+            // and exact integer arithmetic far below 2^53.
+            let m = base.min(per_conflict);
+            shared_issues * (base - m) + shared_issues.max(serial) * m
+        } else {
+            let extra_conflicts = (serial - shared_issues).max(0.0);
+            shared_issues * base + extra_conflicts * per_conflict
+        };
     }
     let sms_used = f64::from(arch.sm_count.min(dims.grid.max(1)));
     let per_sm_throughput = arch.issue_width * hide;
     let compute_ns = issue_cycles / (sms_used * per_sm_throughput) / arch.cycles_per_ns();
 
     // ---- memory term --------------------------------------------------
-    let bw_eff = opts.bw_efficiency_override.unwrap_or_else(|| {
-        let frac_vec = stats.vector_load_fraction();
-        arch.bw_eff_scalar + (arch.bw_eff_vector - arch.bw_eff_scalar) * frac_vec
-    });
     let eff_bw_bytes_per_ns = arch.dram_bw_gbps * bw_eff; // GB/s == bytes/ns
     let memory_ns = if eff_bw_bytes_per_ns > 0.0 {
         stats.dram_bytes() as f64 / eff_bw_bytes_per_ns

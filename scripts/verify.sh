@@ -63,6 +63,37 @@ if [ "$one" != "$four" ]; then
   exit 1
 fi
 
+echo "== bounded-rung smoke (exact-regime pruning, thread-count invariance, golden winner) =="
+# At n=16K most jobs are exact-regime: the bounded rung must drop some
+# of them, prune and count identically at 1 and 4 threads, and still
+# pick the golden winner.
+for t in 1 4; do
+  ./target/release/sweep --arch kepler --n 16384 --threads "$t" \
+    --metrics-json "/tmp/verify_bounded_$t.json" > "/tmp/verify_bounded_$t.txt"
+done
+python3 - <<'PY'
+import json
+def rungs(t):
+    m = json.load(open(f"/tmp/verify_bounded_{t}.json"))
+    return [(r["rung"], r["jobs"], r["measured"], r["pruned"]) for r in m["sweeps"][0]["rungs"]]
+one, four = rungs(1), rungs(4)
+assert one == four, f"rung counts differ between 1 and 4 threads: {one} vs {four}"
+bounded = [r for r in one if r[0] == "bounded"]
+assert bounded and bounded[0][3] > 0, f"the bounded rung pruned nothing: {one}"
+print(f"  rungs (rung, jobs, measured, pruned): {one}")
+PY
+golden_tail=$(grep '^sweep arch=kepler n=16384 ' crates/bench/tests/golden/sweep_winners.txt | sed 's/.* winner=/winner=/')
+for t in 1 4; do
+  tail_t=$(grep '^sweep ' "/tmp/verify_bounded_$t.txt" | sed 's/.* winner=/winner=/')
+  if [ "$tail_t" != "$golden_tail" ]; then
+    echo "BOUNDED SWEEP WINNER DIFFERS FROM THE GOLDEN LINE at --threads $t:" >&2
+    echo "  got:    $tail_t" >&2
+    echo "  golden: $golden_tail" >&2
+    exit 1
+  fi
+done
+echo "  kepler n=16384 winner matches the golden line at 1 and 4 threads"
+
 echo "== compiled-tier smoke (winner identity vs uop tier, all arches) =="
 # The compiled tier must reproduce the µop tier's winner line byte for
 # byte on every architecture — only the interp= token (and the wall
